@@ -23,7 +23,7 @@ columns (DESIGN.md §6–§7):
   :meth:`from_arrays` build the whole index with a handful of numpy passes
   (one ``lexsort`` + run-length encoding) instead of per-visit dict
   updates, which is what makes cold :meth:`IncrementalPageRank.initialize`
-  and the persistence v2 load fast.
+  and the snapshot load fast.
 
 Bit-identical behavior: the store implements the :class:`WalkIndex`
 determinism contract (ascending ``segment_ids_visiting``, insertion-order
@@ -542,8 +542,8 @@ class ColumnarWalkStore:
     ) -> "ColumnarWalkStore":
         """Build a store straight from persisted columnar arrays.
 
-        This is the persistence v2 load path: the flat node arena is
-        adopted as-is and the inverted visit index is rebuilt with the
+        This is the owned snapshot load path: the flat node arena is
+        copied in and the inverted visit index is rebuilt with the
         vectorized block install — no per-segment replay.
         """
         store = cls(num_nodes, track_sides=track_sides)

@@ -425,9 +425,6 @@ class IncrementalPageRank:
         """(Re)simulate ``R`` segments per existing node, vectorized."""
         graph = self.graph
         store = make_walk_store(graph.num_nodes, backend=self.store_backend)
-        bind_profiler = getattr(store, "bind_profiler", None)
-        if bind_profiler is not None:
-            bind_profiler(self._store_profiler)
         if graph.num_nodes:
             csr = graph.to_csr("out")
             starts = np.repeat(
@@ -437,8 +434,22 @@ class IncrementalPageRank:
                 csr, starts, self.reset_probability, self._rng
             )
             store.bulk_add_segments(result.segments, result.end_reasons)
+        self.adopt_store(store)
+
+    def adopt_store(self, store: WalkIndex) -> None:
+        """Install ``store`` as this engine's walk index.
+
+        The one seam a store enters the engine through — a fresh build
+        (:meth:`initialize`) or a snapshot restore
+        (:mod:`repro.store.persistence`): binds the storage-stage
+        profiler, swaps the store in, and tells listeners that every
+        stored segment changed.
+        """
+        bind_profiler = getattr(store, "bind_profiler", None)
+        if bind_profiler is not None:
+            bind_profiler(self._store_profiler)
         self.pagerank_store.walks = store
-        self._publish_update(None)  # every stored segment was rebuilt
+        self._publish_update(None)
 
     # ------------------------------------------------------------------
     # Convenience accessors

@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.columnar import BACKEND_COLUMNAR, make_walk_store
 from repro.core.walks import WalkIndex
 from repro.errors import ConfigurationError
 from repro.graph.csr import batch_reset_walks
@@ -39,17 +40,15 @@ def build_walk_store(
     rng: RngLike = None,
     *,
     track_sides: bool = False,
-    backend: str = "object",
+    backend: str = BACKEND_COLUMNAR,
 ) -> WalkIndex:
     """Simulate ``R`` reset walks per node (vectorized) into a fresh store.
 
-    ``backend`` picks the :class:`WalkIndex` implementation: ``"object"``
-    (the reference :class:`WalkStore`, default here) or ``"columnar"``
-    (:class:`repro.core.columnar.ColumnarWalkStore`, what the incremental
-    engines build by default).
+    ``backend`` picks the :class:`WalkIndex` implementation: ``"columnar"``
+    (:class:`repro.core.columnar.ColumnarWalkStore`, the default),
+    ``"sharded[:k]"``, or ``"object"`` (the reference :class:`WalkStore`,
+    selected explicitly as the differential oracle).
     """
-    from repro.core.columnar import make_walk_store
-
     if walks_per_node <= 0:
         raise ConfigurationError(
             f"walks_per_node must be positive, got {walks_per_node}"
@@ -99,7 +98,7 @@ class MonteCarloPageRank:
         reset_probability: float = 0.2,
         walks_per_node: int = 10,
         rng: RngLike = None,
-        store_backend: str = "object",
+        store_backend: str = BACKEND_COLUMNAR,
     ) -> None:
         if not 0.0 < reset_probability <= 1.0:
             raise ConfigurationError(

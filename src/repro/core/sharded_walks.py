@@ -39,10 +39,10 @@ module brings that partitioning axis to the local storage engine.
   forbids subprocesses).
 
 Persistence: a sharded store snapshots as *per-shard arenas plus a
-manifest* (format v3, DESIGN.md §8) via
-:func:`repro.store.persistence.save_walk_store`; it can also export
-global-order columns (:meth:`to_arrays`) and therefore downgrade-save to
-v2/v1 losslessly.
+manifest* (DESIGN.md §8) via
+:func:`repro.store.persistence.save_shared_snapshot`; it can also export
+global-order columns (:meth:`to_arrays`), which is how it migrates to
+and from a flat store.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def _shard_ids(nodes, num_shards: int):
     """Fibonacci-hash shard routing (vectorized; scalar ints work too).
 
     The single definition all placement, bulk routing, and manifest
-    validation share — persisted v3 snapshots bake this mapping in, so
+    validation share — persisted sharded snapshots bake this mapping in, so
     every caller must agree forever.  Mirrors
     :meth:`repro.store.sharded.ShardedGraphBackend.shard_of`.
     """
@@ -700,8 +700,8 @@ class ShardedWalkIndex:
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Global-order ``(flat, lengths, end_reasons, parities)`` columns.
 
-        The export is indistinguishable from a single-shard store's — it
-        is what lets a sharded store downgrade-save to the v2/v1 formats.
+        The export is indistinguishable from a single-shard store's, so
+        :meth:`ColumnarWalkStore.from_arrays` rebuilds it as a flat store.
         """
         count = self._num_segments
         lengths = np.zeros(count, dtype=np.int64)
@@ -748,7 +748,7 @@ class ShardedWalkIndex:
     ) -> "ShardedWalkIndex":
         """Build a sharded store from global-order columnar arrays.
 
-        This is both the v2 → sharded migration path and the cold-build
+        This is both the flat → sharded migration path and the cold-build
         entry: segments are routed to shards by source hash and each
         shard's arena + index is built with the vectorized block install.
         """
@@ -768,7 +768,7 @@ class ShardedWalkIndex:
         return store
 
     def shard_arrays(self) -> list[dict[str, np.ndarray]]:
-        """Per-shard compacted columns + global-id tables (v3 manifest)."""
+        """Per-shard compacted columns + global-id tables (snapshot payload)."""
         out = []
         for shard_index, shard in enumerate(self.shards):
             flat, lengths, reasons, parities = shard.to_arrays()
@@ -795,7 +795,7 @@ class ShardedWalkIndex:
         max_workers: Optional[int] = None,
         copy: bool = True,
     ) -> "ShardedWalkIndex":
-        """Adopt per-shard arenas saved by :meth:`shard_arrays` (v3 load).
+        """Adopt per-shard arenas saved by :meth:`shard_arrays` (snapshot load).
 
         Validates the manifest invariants a corrupt snapshot would break —
         global ids must partition ``0 … n−1`` with a monotone table per

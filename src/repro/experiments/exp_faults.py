@@ -42,7 +42,7 @@ from repro.serve.engine import QueryEngine
 from repro.serve.frontend import MultiProcessFrontend
 from repro.serve.wal import WriteAheadLog, recover_engine
 from repro.serve.worker import WorkerConfig
-from repro.store.persistence import load_engine, save_engine
+from repro.store.persistence import load_shared_engine, save_shared_snapshot
 from repro.workloads.twitter_like import twitter_like_stream
 
 __all__ = ["run_faults"]
@@ -163,8 +163,8 @@ def _durability_phase(
 ):
     """WAL overhead + recovery; both arms start from the same checkpoint.
 
-    The checkpoint is adopted (``load_engine``) before either arm runs:
-    snapshot formats canonicalize the walk-segment layout, and replay is
+    The checkpoint is adopted (``load_shared_engine``) before either arm
+    runs: a snapshot canonicalizes the walk-segment layout, and replay is
     bit-identical *to the checkpoint image* — exactly the window the
     serve tier maintains by truncating the WAL at every publish.
 
@@ -172,10 +172,10 @@ def _durability_phase(
     alternated) so a load spike hitting one arm cannot fake — or mask —
     the fsync cost the overhead gate is actually about.
     """
-    snapshot = Path(workdir) / "checkpoint.npz"
+    snapshot = Path(workdir) / "checkpoint"
     wal_path = Path(workdir) / "updates.wal"
     seed_engine = _fresh_engine(stream.snapshot_at(cut), walks_per_node)
-    save_engine(seed_engine, snapshot)
+    save_shared_snapshot(seed_engine, snapshot)
 
     events = list(stream.suffix(cut))
     slices = [
@@ -186,7 +186,7 @@ def _durability_phase(
     applied = sum(len(chunk) for chunk in slices)
 
     def _run_bare():
-        engine = load_engine(
+        engine = load_shared_engine(
             snapshot, rng=np.random.default_rng(ENGINE_SEED + 1)
         )
         started = time.perf_counter()
@@ -198,7 +198,7 @@ def _durability_phase(
         # logged-before-mutate, fsync per batch; each repetition rewrites
         # the log from scratch (reopening would append after the prefix)
         wal_path.unlink(missing_ok=True)
-        engine = load_engine(
+        engine = load_shared_engine(
             snapshot, rng=np.random.default_rng(ENGINE_SEED + 1)
         )
         wal = WriteAheadLog(wal_path)

@@ -97,6 +97,7 @@ from repro.serve.worker import (
     STOP,
     STOPPED,
     WorkerConfig,
+    build_serving_stack,
     spawn_worker,
 )
 
@@ -935,31 +936,14 @@ class MultiProcessFrontend:
             and self._inline_generation == generation
         ):
             return self._inline_batcher
-        from repro.store.persistence import attach_engine
-
         if self._inline_batcher is not None:
             self._inline_batcher.close()
             self._inline_batcher = None
         if self._inline_engine is not None:
             self._inline_engine.detach()
             self._inline_engine = None
-        attached = attach_engine(snapshot, validate=False)
-        config = self.config
-        self._inline_engine = QueryEngine(
-            attached,
-            rng_seed=config.rng_seed,
-            result_capacity=config.result_capacity,
-            cache_results=config.cache_results,
-            share_fetches=config.share_fetches,
-            use_kernel=config.use_kernel,
-            alpha=config.alpha,
-            c=config.c,
-        )
-        self._inline_batcher = RequestBatcher(
-            self._inline_engine,
-            max_workers=config.worker_threads,
-            max_queue_depth=config.max_queue_depth,
-            max_kernel_batch=config.max_kernel_batch,
+        self._inline_engine, self._inline_batcher = build_serving_stack(
+            snapshot, self.config
         )
         self._inline_generation = generation
         return self._inline_batcher

@@ -342,18 +342,17 @@ def recover_engine(
 ):
     """Rebuild the coordinator engine: snapshot + WAL tail, bit-identical.
 
-    ``snapshot`` is a shared snapshot *directory* (an
-    :class:`~repro.serve.epochs.ArenaPublisher` generation — loaded
-    writable via :func:`~repro.store.persistence.load_shared_engine`) or
-    a ``.npz`` engine file (:func:`~repro.store.persistence.load_engine`,
-    which covers the object backend).  Each intact WAL record is replayed
-    through the engine method that wrote it, with the recorded RNG state
-    restored first, so the recovered engine's walk arenas, graph, and RNG
-    position all equal the pre-crash engine's.  A torn tail is skipped
-    (see module docstring for why that is the correct state).
+    ``snapshot`` is a snapshot *directory* (e.g. an
+    :class:`~repro.serve.epochs.ArenaPublisher` generation), loaded
+    writable via :func:`~repro.store.persistence.load_shared_engine`.
+    Each intact WAL record is replayed through the engine method that
+    wrote it, with the recorded RNG state restored first, so the
+    recovered engine's walk arenas, graph, and RNG position all equal the
+    pre-crash engine's.  A torn tail is skipped (see module docstring for
+    why that is the correct state).
 
-    The bit-identity is **relative to the checkpoint image**: snapshot
-    formats deliberately compact the walk layout, so a store carrying
+    The bit-identity is **relative to the checkpoint image**: a snapshot
+    deliberately compacts the walk layout, so a store carrying
     mutation history serializes to a canonical-order image.  Replay is
     therefore bit-identical to a pre-crash engine whose layout matched
     its last checkpoint — which the serve tier guarantees by truncating
@@ -368,15 +367,11 @@ def recover_engine(
     Returns ``(engine, RecoveryReport)``.
     """
     from repro.graph.arrival import ArrivalEvent
-    from repro.store.persistence import load_engine, load_shared_engine
+    from repro.store.persistence import load_shared_engine
 
     registry = registry if registry is not None else MetricsRegistry()
     tracer = tracer if tracer is not None else Tracer()
-    snapshot = Path(snapshot)
-    if snapshot.is_dir():
-        engine = load_shared_engine(snapshot, validate=validate)
-    else:
-        engine = load_engine(snapshot)
+    engine = load_shared_engine(snapshot, validate=validate)
 
     result = read_wal(wal_path)
     span = (

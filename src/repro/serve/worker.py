@@ -59,7 +59,7 @@ from repro.faults import DELAY, DROP, KILL, FaultPlan
 from repro.serve.batcher import RequestBatcher
 from repro.serve.engine import QueryEngine
 
-__all__ = ["WorkerConfig", "worker_main"]
+__all__ = ["WorkerConfig", "build_serving_stack", "worker_main"]
 
 # Response-message tags (worker -> coordinator, one pipe per worker).
 READY = "ready"
@@ -107,8 +107,15 @@ class WorkerConfig:
     fault_plan: Optional[FaultPlan] = None
 
 
-def _build(snapshot_path, config: WorkerConfig, clock=time.monotonic):
-    """Attach a snapshot and stand up the engine + batcher stack."""
+def build_serving_stack(
+    snapshot_path, config: WorkerConfig, clock=time.monotonic
+):
+    """Attach a snapshot and stand up the engine + batcher stack.
+
+    The only place a :class:`WorkerConfig` becomes a serving stack: worker
+    processes and the frontend's inline fallback both call it, which is
+    what keeps their answers bit-identical.
+    """
     from repro.obs import Tracer
     from repro.store.persistence import attach_engine
 
@@ -208,7 +215,9 @@ def worker_main(
     )
     clock = (lambda: time.monotonic() + skew) if skew else time.monotonic
     try:
-        query_engine, batcher = _build(snapshot_path, config, clock=clock)
+        query_engine, batcher = build_serving_stack(
+            snapshot_path, config, clock=clock
+        )
     except BaseException as exc:  # noqa: BLE001 - shipped to coordinator
         _send((INIT_ERROR, worker_id, _error_tuple(exc)))
         return

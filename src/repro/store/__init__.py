@@ -11,10 +11,10 @@ is measured in exactly those units.
 from repro.store.backend import GraphBackend, InMemoryGraphBackend
 from repro.store.pagerank_store import FetchResult, PageRankStore
 from repro.store.persistence import (
-    load_engine,
-    load_walk_store,
-    save_engine,
-    save_walk_store,
+    attach_engine,
+    attach_walk_store,
+    load_shared_engine,
+    save_shared_snapshot,
 )
 from repro.store.sharded import ShardedGraphBackend
 from repro.store.social_store import SocialStore
@@ -29,8 +29,8 @@ __all__ = [
     "SocialStore",
     "PageRankStore",
     "FetchResult",
-    "save_walk_store",
-    "load_walk_store",
-    "save_engine",
-    "load_engine",
+    "save_shared_snapshot",
+    "attach_walk_store",
+    "attach_engine",
+    "load_shared_engine",
 ]

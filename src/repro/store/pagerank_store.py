@@ -78,8 +78,10 @@ class PageRankStore:
                 f"fetch_mode must be 'full' or 'sampled_edge', got {fetch_mode!r}"
             )
         self.social_store = social_store
-        #: Any WalkIndex implementation; the incremental engines install a
-        #: ColumnarWalkStore here by default (see core/columnar.py).
+        #: Any WalkIndex implementation.  ``initialize()`` / a snapshot
+        #: restore install the engine's ``store_backend`` (columnar by
+        #: default); an engine grown edge by edge from empty keeps this
+        #: object store, ~2x faster than columnar on single-edge repairs.
         self.walks: WalkIndex = (
             walk_store
             if walk_store is not None

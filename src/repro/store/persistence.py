@@ -1,57 +1,38 @@
-"""Snapshot/restore for walk stores and engines.
+"""Snapshot/restore for walk stores and engines: one format, one restore path.
 
 A production PageRank Store is expensive to initialize (``nR/ε`` walk
 steps) and must survive process restarts; §2.2's whole point is never
-recomputing it.  This module serializes any
-:class:`~repro.core.walks.WalkIndex` (and a whole
-:class:`~repro.core.incremental.IncrementalPageRank` engine: graph +
-parameters + store) to a single ``.npz`` file.
+recomputing it.  A snapshot is a **directory** (DESIGN.md §8):
+``manifest.json`` plus one raw uncompressed ``.npy`` file per array,
+written by :func:`save_shared_snapshot` from a bare
+:class:`~repro.core.walks.WalkIndex` or a whole
+:class:`~repro.core.incremental.IncrementalPageRank` engine (graph +
+parameters + store).  The same directory is opened two ways:
 
-Two on-disk formats exist (DESIGN.md §8); :func:`load_walk_store` and
-:func:`load_engine` auto-detect the version from the snapshot metadata:
+* **attached** (:func:`attach_walk_store` / :func:`attach_engine`): every
+  arena is ``np.load(..., mmap_mode="r")``-mapped and adopted zero-copy,
+  so N worker processes attached to one generation share a single set of
+  physical pages through the OS page cache.  Attached stores are
+  read-only — every mutator raises :class:`WalkStateError` — and updates
+  flow through the coordinator, which publishes a fresh generation
+  (:mod:`repro.serve.epochs`).
+* **owned** (:func:`load_shared_engine`): the arrays are copied into
+  private writable memory — what :func:`repro.serve.wal.recover_engine`
+  restarts a coordinator from.
 
-* **Version 1** (legacy): segments flattened into one int64 arena plus a
-  lengths vector.  Loading replays ``add_segment`` per segment into an
-  object-backed :class:`~repro.core.walks.WalkStore`, so the inverted
-  visit index is rebuilt and validated by construction.
-* **Version 2** (flat default): the same columnar arrays, but loading
-  adopts the arena directly into a
-  :class:`~repro.core.columnar.ColumnarWalkStore` and rebuilds the visit
-  index with one vectorized pass — no per-segment interpreter replay.
-  Saving from a columnar store exports its (compacted) arena without
-  materializing a single Python segment object.
-* **Version 3** (sharded manifest): one arena per shard plus a manifest —
-  shard count, per-shard global-id tables, per-shard columns — loading
-  into a :class:`~repro.core.sharded_walks.ShardedWalkIndex` shard by
-  shard (each shard's index rebuild is the v2 vectorized pass, so cold
-  restore parallelizes the same way cold build does).  A sharded store
-  saved with ``version=2``/``1`` downgrades losslessly through its
-  global-order export, and any flat snapshot migrates to sharded via
-  :meth:`ShardedWalkIndex.from_arrays` — the migration tests in
-  ``tests/test_persistence.py`` walk the whole v1 → v2 → v3 chain.
-
-Every loader validates before it trusts: a corrupted or truncated file
-(bad zip, missing arrays, inconsistent manifest) raises
+Both go through :func:`_restore`, so every check guards both: a missing,
+truncated or inconsistent snapshot raises
 :class:`~repro.errors.ConfigurationError` /
 :class:`~repro.errors.WalkStateError` with a readable message instead of
-leaking a numpy/zipfile exception.
-
-**Shared snapshots** (the multi-process serve tier) are a directory —
-``manifest.json`` plus one raw uncompressed ``.npy`` per array — written
-by :func:`save_shared_snapshot`.  Unlike the ``.npz`` formats they are
-mmap-able: :func:`attach_walk_store` / :func:`attach_engine` open every
-arena with ``np.load(..., mmap_mode="r")`` and adopt it zero-copy via
-:meth:`ColumnarWalkStore.from_shared`, so N worker processes attached to
-one generation share a single set of physical pages through the OS page
-cache.  Attached stores are read-only — every mutator raises
-:class:`WalkStateError` — and updates flow through the coordinator, which
-publishes a fresh generation (:mod:`repro.serve.epochs`).
+leaking a numpy/json exception.  The visit index is never read from disk
+— it is rebuilt (vectorized) from the segments — and a snapshot stores
+segments compacted in id order, so a mutated store and its own image can
+differ in arena layout (the checkpoint-image contract, DESIGN.md §15).
 """
 
 from __future__ import annotations
 
 import json
-import zipfile
 from pathlib import Path
 from typing import TYPE_CHECKING, Union
 
@@ -59,13 +40,7 @@ import numpy as np
 
 from repro.core.columnar import ColumnarWalkStore
 from repro.core.sharded_walks import ShardedWalkIndex
-from repro.core.walks import (
-    END_DANGLING,
-    END_RESET,
-    WalkIndex,
-    WalkSegment,
-    WalkStore,
-)
+from repro.core.walks import END_DANGLING, WalkIndex
 from repro.errors import ConfigurationError, WalkStateError
 from repro.graph.digraph import DynamicDiGraph
 from repro.store.social_store import SocialStore
@@ -74,343 +49,312 @@ if TYPE_CHECKING:  # engine import is deferred at runtime (circular import)
     from repro.core.incremental import IncrementalPageRank
 
 __all__ = [
-    "save_walk_store",
-    "load_walk_store",
-    "save_engine",
-    "load_engine",
     "save_shared_snapshot",
     "attach_walk_store",
     "attach_engine",
+    "load_shared_engine",
 ]
 
-FORMAT_VERSION = 2
-SHARDED_VERSION = 3
-SUPPORTED_VERSIONS = (1, 2, 3)
+MANIFEST_NAME = "manifest.json"
+#: The manifest's one version field (1-3 were the retired single-file formats).
+FORMAT_VERSION = 4
+KIND_STORE = "walk_store"
+KIND_ENGINE = "incremental_pagerank"
+#: Flat-store arrays, in :meth:`ColumnarWalkStore.to_arrays` order; a
+#: sharded store writes one ``shard<i>_``-prefixed block of
+#: ``_SHARD_COLUMNS`` per shard instead.
+_COLUMNS = (
+    "segment_nodes",
+    "segment_lengths",
+    "segment_end_reasons",
+    "segment_parities",
+)
+_SHARD_COLUMNS = _COLUMNS + ("global_ids",)
 PathLike = Union[str, Path]
 
 
 def _store_arrays(store: WalkIndex) -> dict[str, np.ndarray]:
-    """Columnar export of ``store``: one flat arena + per-segment columns.
+    """Compacted export of ``store``: arena + per-segment columns.
 
-    A :class:`ColumnarWalkStore` hands its (compacted) columns over
-    directly; any other :class:`WalkIndex` is flattened segment by
-    segment.  The array layout is identical for v1 and v2 snapshots —
-    only the load path differs.
+    Sharded stores hand over one block per shard, a
+    :class:`ColumnarWalkStore` its columns; any other :class:`WalkIndex`
+    (the object-backed test oracle) is flattened segment by segment.
     """
-    if isinstance(store, (ColumnarWalkStore, ShardedWalkIndex)):
-        flat, lengths, reasons, parities = store.to_arrays()
+    if isinstance(store, ShardedWalkIndex):
+        return {
+            f"shard{shard_index}_{name}": array
+            for shard_index, block in enumerate(store.shard_arrays())
+            for name, array in block.items()
+        }
+    if isinstance(store, ColumnarWalkStore):
+        columns = store.to_arrays()
     else:
-        length_list = []
-        reason_list = []
-        parity_list = []
-        flat_list: list[int] = []
-        for _, segment in store.iter_segments():
-            length_list.append(len(segment.nodes))
-            reason_list.append(segment.end_reason)
-            parity_list.append(segment.parity_offset)
-            flat_list.extend(segment.nodes)
-        flat = np.asarray(flat_list, dtype=np.int64)
-        lengths = np.asarray(length_list, dtype=np.int64)
-        reasons = np.asarray(reason_list, dtype=np.int8)
-        parities = np.asarray(parity_list, dtype=np.int8)
-    return {
-        "segment_lengths": lengths,
-        "segment_end_reasons": reasons,
-        "segment_parities": parities,
-        "segment_nodes": flat,
-    }
-
-
-def _check_version(version: int) -> None:
-    if version not in SUPPORTED_VERSIONS:
-        raise ConfigurationError(
-            f"snapshot format version must be one of {SUPPORTED_VERSIONS}, "
-            f"got {version!r}"
+        segments = [segment for _, segment in store.iter_segments()]
+        columns = (
+            np.asarray([n for s in segments for n in s.nodes], dtype=np.int64),
+            np.asarray([len(s.nodes) for s in segments], dtype=np.int64),
+            np.asarray([s.end_reason for s in segments], dtype=np.int8),
+            np.asarray([s.parity_offset for s in segments], dtype=np.int8),
         )
+    return dict(zip(_COLUMNS, columns))
 
 
-def _resolve_version(store: WalkIndex, version: "int | None") -> int:
-    """Default format for ``store``: v3 for sharded, v2 otherwise."""
-    if version is None:
-        return (
-            SHARDED_VERSION
-            if isinstance(store, ShardedWalkIndex)
-            else FORMAT_VERSION
-        )
-    _check_version(version)
-    if version == SHARDED_VERSION and not isinstance(store, ShardedWalkIndex):
-        raise ConfigurationError(
-            "version=3 snapshots hold sharded stores; save flat stores as "
-            "v1/v2 or migrate via ShardedWalkIndex.from_arrays first"
-        )
-    return version
+def save_shared_snapshot(target, directory: PathLike) -> Path:
+    """Write the snapshot *directory* for ``target``; returns its path.
 
+    ``target`` is an :class:`IncrementalPageRank` engine or a bare
+    :class:`WalkIndex`.  Layout: ``manifest.json`` (parameters, shard
+    count — 0 for a flat store — and the array listing) and one raw
+    uncompressed ``.npy`` file per array, so readers can memory-map the
+    arenas instead of decompressing private copies.
 
-def _sharded_arrays(store: ShardedWalkIndex) -> dict[str, np.ndarray]:
-    """v3 payload: one compacted arena + global-id table per shard."""
+    Only the manifest write is atomic — publishers that swap generations
+    under live readers must write into a fresh directory and flip a
+    pointer afterward (:class:`repro.serve.epochs.ArenaPublisher` does
+    exactly that).
+    """
+    from repro.core.incremental import IncrementalPageRank
+
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
     arrays: dict[str, np.ndarray] = {}
-    for shard_index, block in enumerate(store.shard_arrays()):
-        for name, array in block.items():
-            arrays[f"shard{shard_index}_{name}"] = array
-    return arrays
-
-
-def _snapshot_payload(
-    store: WalkIndex, version: int
-) -> tuple[dict, dict[str, np.ndarray]]:
-    """``(meta extras, arrays)`` for one store at one resolved version.
-
-    The single place that knows how a format version shapes the payload,
-    shared by :func:`save_walk_store` and :func:`save_engine`.
-    """
-    if version == SHARDED_VERSION:
-        assert isinstance(store, ShardedWalkIndex)  # _resolve_version checked
-        return {"num_shards": store.num_shards}, _sharded_arrays(store)
-    return {}, _store_arrays(store)
-
-
-def save_walk_store(
-    store: WalkIndex, path: PathLike, *, version: "int | None" = None
-) -> None:
-    """Serialize ``store`` to ``path`` (``.npz``).
-
-    The default version is 3 (per-shard manifest) for sharded stores and
-    2 (flat columnar) otherwise; ``version=1`` writes the legacy format
-    (loadable by older readers), ``version=2`` downgrade-saves a sharded
-    store through its global-order export.
-    """
-    version = _resolve_version(store, version)
-    meta = {
-        "format_version": version,
-        "kind": "walk_store",
-        "num_nodes": store.num_nodes,
-        "track_sides": store.track_sides,
-    }
-    extras, arrays = _snapshot_payload(store, version)
-    meta.update(extras)
-    np.savez_compressed(Path(path), meta=json.dumps(meta), **arrays)
-
-
-def _load_segments_into(store: WalkStore, data) -> None:
-    """v1 load path: replay ``add_segment``, rebuilding the index as we go."""
-    lengths = _array(data, "segment_lengths")
-    reasons = _array(data, "segment_end_reasons")
-    parities = _array(data, "segment_parities")
-    flat = _array(data, "segment_nodes")
-    if lengths.sum() != len(flat):
-        raise WalkStateError("corrupt snapshot: arena length mismatch")
-    offset = 0
-    for length, reason, parity in zip(lengths, reasons, parities):
-        nodes = flat[offset : offset + int(length)].tolist()
-        offset += int(length)
-        if reason not in (END_RESET, END_DANGLING):
-            raise WalkStateError(f"corrupt snapshot: end reason {reason}")
-        store.add_segment(
-            WalkSegment([int(n) for n in nodes], int(reason), parity_offset=int(parity))
+    if isinstance(target, IncrementalPageRank):
+        store = target.walks
+        graph = target.graph
+        meta = {
+            "kind": KIND_ENGINE,
+            "num_nodes": graph.num_nodes,
+            "reset_probability": target.reset_probability,
+            "walks_per_node": target.walks_per_node,
+            "reroute_policy": target.reroute_policy,
+            "allow_self_loops": graph.allow_self_loops,
+        }
+        edges = graph.edge_list()
+        arrays["edge_sources"] = np.asarray(
+            [u for u, _ in edges], dtype=np.int64
         )
-
-
-def _columnar_from_data(data, meta) -> ColumnarWalkStore:
-    """v2 load path: adopt the arena, rebuild the index vectorized."""
-    lengths = _array(data, "segment_lengths")
-    flat = _array(data, "segment_nodes")
-    if lengths.sum() != len(flat):
-        raise WalkStateError("corrupt snapshot: arena length mismatch")
-    try:
-        return ColumnarWalkStore.from_arrays(
-            flat,
-            lengths,
-            _array(data, "segment_end_reasons"),
-            _array(data, "segment_parities"),
-            num_nodes=int(meta["num_nodes"]),
-            track_sides=bool(meta["track_sides"]),
+        arrays["edge_targets"] = np.asarray(
+            [v for _, v in edges], dtype=np.int64
         )
-    except WalkStateError as error:
-        raise WalkStateError(f"corrupt snapshot: {error}") from error
+    else:
+        store = target
+        meta = {"kind": KIND_STORE, "num_nodes": store.num_nodes}
+    arrays.update(_store_arrays(store))
+    meta["format_version"] = FORMAT_VERSION
+    meta["track_sides"] = store.track_sides
+    meta["num_shards"] = (
+        store.num_shards if isinstance(store, ShardedWalkIndex) else 0
+    )
+    meta["arrays"] = sorted(arrays)
+    for name, array in arrays.items():
+        np.save(directory / f"{name}.npy", np.ascontiguousarray(array))
+    manifest = directory / MANIFEST_NAME
+    tmp = directory / (MANIFEST_NAME + ".tmp")
+    tmp.write_text(json.dumps(meta, indent=2), encoding="utf-8")
+    # the manifest lands last and atomically: a reader that can parse it
+    # is guaranteed every array file it lists is fully written
+    tmp.replace(manifest)
+    return directory
 
 
-def _open_snapshot(path: PathLike):
-    """Open an ``.npz`` snapshot, mapping I/O corruption to clean errors.
-
-    A truncated or garbage file makes :func:`np.load` raise zip/IO
-    internals; surface those as :class:`ConfigurationError` so callers see
-    "this file is not a readable snapshot", not a numpy traceback.
-    """
-    try:
-        return np.load(Path(path), allow_pickle=False)
-    except FileNotFoundError:
-        raise
-    except (zipfile.BadZipFile, OSError, ValueError, EOFError) as error:
+def _read_manifest(directory: Path, expected_kind: str) -> dict:
+    manifest = directory / MANIFEST_NAME
+    if not directory.is_dir() or not manifest.is_file():
         raise ConfigurationError(
-            f"{path} is not a readable snapshot: {error}"
-        ) from error
-
-
-def _array(data, key: str) -> np.ndarray:
-    """Read one required array, mapping absence/corruption to clean errors."""
+            f"{directory} is not a shared snapshot directory "
+            f"(no {MANIFEST_NAME})"
+        )
     try:
-        return data[key]
-    except KeyError:
+        meta = json.loads(manifest.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, OSError, UnicodeDecodeError) as error:
         raise WalkStateError(
-            f"corrupt snapshot: missing array {key!r} (truncated manifest?)"
-        ) from None
-    except (zipfile.BadZipFile, OSError, ValueError, EOFError) as error:
-        raise WalkStateError(
-            f"corrupt snapshot: array {key!r} unreadable: {error}"
-        ) from error
-
-
-def _read_meta(data, expected_kind: str) -> dict:
-    try:
-        meta = json.loads(str(_array(data, "meta")))
-    except json.JSONDecodeError as error:
-        raise ConfigurationError(
-            f"corrupt snapshot: unreadable metadata: {error}"
+            f"corrupt shared snapshot: unreadable manifest: {error}"
         ) from error
     if not isinstance(meta, dict):
-        raise ConfigurationError("corrupt snapshot: metadata is not a mapping")
-    if meta.get("format_version") not in SUPPORTED_VERSIONS:
-        raise ConfigurationError(
-            f"unsupported snapshot version {meta.get('format_version')!r}"
+        raise WalkStateError(
+            "corrupt shared snapshot: manifest is not a mapping"
         )
-    if meta.get("kind") != expected_kind:
-        raise ConfigurationError(
-            f"snapshot holds a {meta.get('kind')!r}, expected {expected_kind!r}"
+    if meta.get("format_version") != FORMAT_VERSION:
+        raise WalkStateError(
+            f"unsupported shared snapshot format "
+            f"{meta.get('format_version')!r}"
+        )
+    kinds = (expected_kind,) if expected_kind != KIND_STORE else (
+        KIND_STORE,
+        KIND_ENGINE,  # an engine snapshot contains a store
+    )
+    if meta.get("kind") not in kinds:
+        raise WalkStateError(
+            f"shared snapshot holds a {meta.get('kind')!r}, "
+            f"expected {expected_kind!r}"
         )
     return meta
 
 
-def _sharded_from_data(data, meta) -> ShardedWalkIndex:
-    """v3 load path: adopt per-shard arenas, validated against the manifest."""
+class _SnapshotArrays:
+    """Array accessor over a snapshot directory (mmap'd, validated)."""
+
+    def __init__(self, directory: Path, meta: dict) -> None:
+        self._directory = directory
+        listed = meta.get("arrays")
+        if not isinstance(listed, list):
+            raise WalkStateError(
+                "corrupt shared snapshot: manifest lacks an array listing"
+            )
+        self._listed = set(listed)
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        if key not in self._listed:
+            raise WalkStateError(
+                f"corrupt shared snapshot: missing array {key!r} "
+                "(truncated manifest?)"
+            )
+        path = self._directory / f"{key}.npy"
+        try:
+            array = np.load(path, mmap_mode="r", allow_pickle=False)
+        except FileNotFoundError:
+            raise WalkStateError(
+                f"corrupt shared snapshot: array file {path.name} is listed "
+                "in the manifest but absent"
+            ) from None
+        except (ValueError, OSError, EOFError) as error:
+            raise WalkStateError(
+                f"corrupt shared snapshot: array {key!r} unreadable: {error}"
+            ) from error
+        # the owned path would otherwise cast (truncate) whatever it finds
+        if array.ndim != 1 or array.dtype.kind != "i":
+            raise WalkStateError(
+                f"corrupt shared snapshot: array {key!r} is not a "
+                "one-dimensional integer vector"
+            )
+        return array
+
+
+def _build_store(data: _SnapshotArrays, meta: dict, *, copy: bool) -> WalkIndex:
+    """The store a snapshot describes: private if ``copy``, else read-only."""
     try:
         num_shards = int(meta["num_shards"])
     except (KeyError, TypeError, ValueError):
         raise WalkStateError(
-            "corrupt snapshot: sharded manifest lacks a shard count"
+            "corrupt shared snapshot: manifest lacks a shard count"
         ) from None
-    if num_shards <= 0:
+    if num_shards < 0:
         raise WalkStateError(
-            f"corrupt snapshot: shard count must be positive, got {num_shards}"
+            f"corrupt shared snapshot: shard count must not be negative, "
+            f"got {num_shards}"
         )
-    blocks = []
-    for shard_index in range(num_shards):
-        blocks.append(
-            {
-                name: _array(data, f"shard{shard_index}_{name}")
-                for name in (
-                    "segment_nodes",
-                    "segment_lengths",
-                    "segment_end_reasons",
-                    "segment_parities",
-                    "global_ids",
-                )
-            }
-        )
-    try:
+    num_nodes = int(meta["num_nodes"])
+    track_sides = bool(meta["track_sides"])
+    if num_shards:
+        blocks = [
+            {name: data[f"shard{shard_index}_{name}"] for name in _SHARD_COLUMNS}
+            for shard_index in range(num_shards)
+        ]
         return ShardedWalkIndex.from_shard_arrays(
-            blocks,
-            num_nodes=int(meta["num_nodes"]),
-            track_sides=bool(meta["track_sides"]),
+            blocks, num_nodes=num_nodes, track_sides=track_sides, copy=copy
         )
-    except WalkStateError:
-        raise
-    except (ValueError, IndexError, TypeError) as error:
-        raise WalkStateError(f"corrupt snapshot: {error}") from error
-
-
-def load_walk_store(path: PathLike) -> WalkIndex:
-    """Load a store saved by :func:`save_walk_store` (version auto-detected).
-
-    v1 snapshots replay into an object-backed :class:`WalkStore`; v2
-    snapshots load zero-copy into a :class:`ColumnarWalkStore`; v3
-    manifests restore a :class:`ShardedWalkIndex` shard by shard.  Either
-    way the visit index is rebuilt from the segments, never trusted from
-    disk.
-    """
-    with _open_snapshot(path) as data:
-        meta = _read_meta(data, "walk_store")
-        version = int(meta["format_version"])
-        if version >= SHARDED_VERSION:
-            return _sharded_from_data(data, meta)
-        if version >= 2:
-            return _columnar_from_data(data, meta)
-        store = WalkStore(
-            int(meta["num_nodes"]), track_sides=bool(meta["track_sides"])
-        )
-        _load_segments_into(store, data)
-    return store
-
-
-def save_engine(
-    engine: "IncrementalPageRank", path: PathLike, *, version: "int | None" = None
-) -> None:
-    """Serialize an engine: parameters, graph edges, and walk store.
-
-    The format defaults to the store's native version (v3 manifest for a
-    sharded store, v2 otherwise); pass ``version=`` to downgrade-save.
-    """
-    version = _resolve_version(engine.walks, version)
-    edges = engine.graph.edge_list()
-    sources = np.asarray([u for u, _ in edges], dtype=np.int64)
-    targets = np.asarray([v for _, v in edges], dtype=np.int64)
-    meta = _engine_meta(engine, version)
-    extras, arrays = _snapshot_payload(engine.walks, version)
-    meta.update(extras)
-    np.savez_compressed(
-        Path(path),
-        meta=json.dumps(meta),
-        edge_sources=sources,
-        edge_targets=targets,
-        **arrays,
+    flat, lengths, reasons, parities = (data[name] for name in _COLUMNS)
+    if int(lengths.sum()) != int(flat.size):
+        raise WalkStateError("corrupt shared snapshot: arena length mismatch")
+    build = ColumnarWalkStore.from_arrays if copy else ColumnarWalkStore.from_shared
+    return build(
+        flat, lengths, reasons, parities, num_nodes=num_nodes, track_sides=track_sides
     )
 
 
-def load_engine(path: PathLike, *, rng=None) -> "IncrementalPageRank":
-    """Restore an engine saved by :func:`save_engine` (version auto-detected).
+def _restore(
+    directory: PathLike, kind: str, *, copy: bool, rng=None, validate: bool = True
+):
+    """The one restore path: manifest → graph → store → install → validate.
 
-    The walk store is revalidated against the restored graph: every stored
-    step must traverse an existing edge, and dangling ends must sit at
-    out-degree-zero nodes — a corrupt or mismatched snapshot fails loudly
-    instead of silently skewing estimates.  A v3 snapshot restores the
-    engine with ``store_backend="sharded:<count>"`` so later
-    reinitializations keep the sharded layout.
+    ``kind`` is what the caller wants back — :data:`KIND_STORE` (a bare
+    store; also found inside an engine snapshot) or :data:`KIND_ENGINE`.
+    ``copy=False`` attaches read-only over the mmap'd arenas (workers);
+    ``copy=True`` copies them into private writable memory (recovery).
     """
     from repro.core.incremental import IncrementalPageRank
 
-    with _open_snapshot(path) as data:
-        meta = _read_meta(data, "incremental_pagerank")
-        version = int(meta["format_version"])
+    directory = Path(directory)
+    meta = _read_manifest(directory, kind)
+    data = _SnapshotArrays(directory, meta)
+    try:
+        if kind == KIND_STORE:
+            return _build_store(data, meta, copy=copy)
         graph = DynamicDiGraph(
             int(meta["num_nodes"]), allow_self_loops=bool(meta["allow_self_loops"])
         )
-        for source, target in zip(
-            _array(data, "edge_sources"), _array(data, "edge_targets")
-        ):
+        for source, target in zip(data["edge_sources"], data["edge_targets"]):
             graph.add_edge(int(source), int(target))
-        if version >= SHARDED_VERSION:
-            store: WalkIndex = _sharded_from_data(data, meta)
-            backend = f"sharded:{store.num_shards}"
-        elif version >= 2:
-            store = _columnar_from_data(data, meta)
-            backend = "columnar"
-        else:
-            store = WalkStore(
-                graph.num_nodes, track_sides=bool(meta["track_sides"])
-            )
-            _load_segments_into(store, data)
-            backend = "object"
+        store = _build_store(data, meta, copy=copy)
         engine = IncrementalPageRank(
             SocialStore.of_graph(graph),
             reset_probability=float(meta["reset_probability"]),
             walks_per_node=int(meta["walks_per_node"]),
             reroute_policy=str(meta["reroute_policy"]),
             rng=rng,
-            store_backend=backend,
+            # later reinitializations keep the snapshot's layout
+            store_backend=(
+                f"sharded:{store.num_shards}"
+                if isinstance(store, ShardedWalkIndex)
+                else "columnar"
+            ),
         )
-        engine.pagerank_store.walks = store
-
-    _validate_against_graph(engine)
+    except WalkStateError:
+        raise
+    except (ValueError, IndexError, TypeError, KeyError) as error:
+        raise WalkStateError(f"corrupt shared snapshot: {error}") from error
+    engine.adopt_store(store)
+    if validate:
+        _validate_against_graph(engine)
     return engine
+
+
+def attach_walk_store(directory: PathLike) -> WalkIndex:
+    """Attach read-only to the store inside a snapshot directory.
+
+    The node arenas stay memory-mapped (zero-copy, shared across every
+    attached process via the page cache); the visit index and per-segment
+    columns are rebuilt privately.  The result is bit-identical to the
+    saved store, but write-protected: every mutator raises
+    :class:`WalkStateError`.  Engine snapshots are accepted too (they
+    contain a store).
+    """
+    return _restore(directory, KIND_STORE, copy=False)
+
+
+def attach_engine(
+    directory: PathLike, *, rng=None, validate: bool = True
+) -> "IncrementalPageRank":
+    """Attach read-only to the engine inside a snapshot directory.
+
+    The restored engine's walk store is the mmap-backed read-only attach
+    of :func:`attach_walk_store`: queries work exactly as on an owned
+    load (same RNG contract, bit-identical answers), while mutations
+    (``apply``/``apply_batch``) raise :class:`WalkStateError` — workers
+    serve, the coordinator owns the write path.  ``validate=False`` skips
+    the O(total visits) graph-consistency check for fast worker swaps onto
+    generations the coordinator just wrote.
+    """
+    return _restore(
+        directory, KIND_ENGINE, copy=False, rng=rng, validate=validate
+    )
+
+
+def load_shared_engine(
+    directory: PathLike, *, rng=None, validate: bool = True
+) -> "IncrementalPageRank":
+    """Load an **owned, writable** engine from a snapshot directory.
+
+    The recovery counterpart of :func:`attach_engine`: same directory,
+    same checks, but every array is copied out of the mmap into private
+    memory, so the result accepts mutations (``apply_batch`` etc.).  This
+    is what :func:`repro.serve.wal.recover_engine` restarts a coordinator
+    from — a worker-style read-only attach could never replay the WAL
+    tail.
+    """
+    return _restore(
+        directory, KIND_ENGINE, copy=True, rng=rng, validate=validate
+    )
 
 
 def _validate_against_graph(engine: "IncrementalPageRank") -> None:
@@ -461,352 +405,3 @@ def _validate_against_graph(engine: "IncrementalPageRank") -> None:
             raise WalkStateError(
                 f"snapshot mismatch: DANGLING end at non-dangling node {node}"
             )
-
-
-# ----------------------------------------------------------------------
-# Shared (mmap-able) snapshots — the multi-process serve attach path
-# ----------------------------------------------------------------------
-
-MANIFEST_NAME = "manifest.json"
-SHARED_FORMAT = 1
-
-
-def _engine_meta(engine: "IncrementalPageRank", version: int) -> dict:
-    """Engine snapshot metadata (shared by .npz and directory formats)."""
-    graph = engine.graph
-    return {
-        "format_version": version,
-        "kind": "incremental_pagerank",
-        "num_nodes": graph.num_nodes,
-        "track_sides": engine.walks.track_sides,
-        "reset_probability": engine.reset_probability,
-        "walks_per_node": engine.walks_per_node,
-        "reroute_policy": engine.reroute_policy,
-        "allow_self_loops": graph.allow_self_loops,
-    }
-
-
-def save_shared_snapshot(target, directory: PathLike) -> Path:
-    """Write a mmap-able snapshot *directory* for worker-process attach.
-
-    ``target`` is an :class:`IncrementalPageRank` engine or a bare
-    :class:`WalkIndex`.  Layout: ``manifest.json`` (the usual snapshot
-    metadata plus the array listing) and one raw uncompressed ``.npy``
-    file per array, so readers can memory-map the arenas instead of
-    decompressing private copies.  Returns the directory path.
-
-    The write is not atomic — publishers that swap generations under live
-    readers must write into a fresh directory and flip a pointer afterward
-    (:class:`repro.serve.epochs.ArenaPublisher` does exactly that).
-    """
-    from repro.core.incremental import IncrementalPageRank
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    arrays: dict[str, np.ndarray] = {}
-    if isinstance(target, IncrementalPageRank):
-        store = target.walks
-        version = _resolve_version(store, None)
-        meta = _engine_meta(target, version)
-        edges = target.graph.edge_list()
-        arrays["edge_sources"] = np.asarray(
-            [u for u, _ in edges], dtype=np.int64
-        )
-        arrays["edge_targets"] = np.asarray(
-            [v for _, v in edges], dtype=np.int64
-        )
-    else:
-        store = target
-        version = _resolve_version(store, None)
-        meta = {
-            "format_version": version,
-            "kind": "walk_store",
-            "num_nodes": store.num_nodes,
-            "track_sides": store.track_sides,
-        }
-    extras, payload = _snapshot_payload(store, version)
-    meta.update(extras)
-    arrays.update(payload)
-    meta["shared_format"] = SHARED_FORMAT
-    meta["arrays"] = sorted(arrays)
-    for name, array in arrays.items():
-        np.save(directory / f"{name}.npy", np.ascontiguousarray(array))
-    manifest = directory / MANIFEST_NAME
-    tmp = directory / (MANIFEST_NAME + ".tmp")
-    tmp.write_text(json.dumps(meta, indent=2), encoding="utf-8")
-    # the manifest lands last and atomically: a reader that can parse it
-    # is guaranteed every array file it lists is fully written
-    tmp.replace(manifest)
-    return directory
-
-
-def _read_shared_manifest(directory: PathLike, expected_kind: str) -> dict:
-    directory = Path(directory)
-    manifest = directory / MANIFEST_NAME
-    if not directory.is_dir() or not manifest.is_file():
-        raise ConfigurationError(
-            f"{directory} is not a shared snapshot directory "
-            f"(no {MANIFEST_NAME})"
-        )
-    try:
-        meta = json.loads(manifest.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, OSError, UnicodeDecodeError) as error:
-        raise WalkStateError(
-            f"corrupt shared snapshot: unreadable manifest: {error}"
-        ) from error
-    if not isinstance(meta, dict):
-        raise WalkStateError(
-            "corrupt shared snapshot: manifest is not a mapping"
-        )
-    if meta.get("shared_format") != SHARED_FORMAT:
-        raise WalkStateError(
-            f"unsupported shared snapshot format "
-            f"{meta.get('shared_format')!r}"
-        )
-    if meta.get("format_version") not in SUPPORTED_VERSIONS:
-        raise WalkStateError(
-            f"corrupt shared snapshot: unsupported store version "
-            f"{meta.get('format_version')!r}"
-        )
-    kinds = (expected_kind,) if expected_kind != "walk_store" else (
-        "walk_store",
-        "incremental_pagerank",  # an engine snapshot contains a store
-    )
-    if meta.get("kind") not in kinds:
-        raise WalkStateError(
-            f"shared snapshot holds a {meta.get('kind')!r}, "
-            f"expected {expected_kind!r}"
-        )
-    return meta
-
-
-class _SharedArrays:
-    """Array accessor over a snapshot directory (mmap'd, validated)."""
-
-    def __init__(self, directory: Path, meta: dict) -> None:
-        self._directory = directory
-        listed = meta.get("arrays")
-        if not isinstance(listed, list):
-            raise WalkStateError(
-                "corrupt shared snapshot: manifest lacks an array listing"
-            )
-        self._listed = set(listed)
-
-    def __getitem__(self, key: str) -> np.ndarray:
-        if key not in self._listed:
-            raise WalkStateError(
-                f"corrupt shared snapshot: missing array {key!r} "
-                "(truncated manifest?)"
-            )
-        path = self._directory / f"{key}.npy"
-        try:
-            return np.load(path, mmap_mode="r", allow_pickle=False)
-        except FileNotFoundError:
-            raise WalkStateError(
-                f"corrupt shared snapshot: array file {path.name} is listed "
-                "in the manifest but absent"
-            ) from None
-        except (ValueError, OSError, EOFError) as error:
-            raise WalkStateError(
-                f"corrupt shared snapshot: array {key!r} unreadable: {error}"
-            ) from error
-
-
-def _attach_store_from(data: _SharedArrays, meta: dict) -> WalkIndex:
-    """Build the read-only store a shared snapshot describes."""
-    version = int(meta["format_version"])
-    if version < 2:
-        raise WalkStateError(
-            "corrupt shared snapshot: v1 snapshots cannot be attached "
-            "(no flat arena to share)"
-        )
-    try:
-        if version >= SHARDED_VERSION:
-            try:
-                num_shards = int(meta["num_shards"])
-            except (KeyError, TypeError, ValueError):
-                raise WalkStateError(
-                    "corrupt shared snapshot: sharded manifest lacks a "
-                    "shard count"
-                ) from None
-            if num_shards <= 0:
-                raise WalkStateError(
-                    f"corrupt shared snapshot: shard count must be "
-                    f"positive, got {num_shards}"
-                )
-            blocks = []
-            for shard_index in range(num_shards):
-                blocks.append(
-                    {
-                        name: data[f"shard{shard_index}_{name}"]
-                        for name in (
-                            "segment_nodes",
-                            "segment_lengths",
-                            "segment_end_reasons",
-                            "segment_parities",
-                            "global_ids",
-                        )
-                    }
-                )
-            return ShardedWalkIndex.from_shard_arrays(
-                blocks,
-                num_nodes=int(meta["num_nodes"]),
-                track_sides=bool(meta["track_sides"]),
-                copy=False,
-            )
-        lengths = data["segment_lengths"]
-        flat = data["segment_nodes"]
-        if int(lengths.sum()) != int(flat.size):
-            raise WalkStateError(
-                "corrupt shared snapshot: arena length mismatch"
-            )
-        return ColumnarWalkStore.from_shared(
-            flat,
-            lengths,
-            data["segment_end_reasons"],
-            data["segment_parities"],
-            num_nodes=int(meta["num_nodes"]),
-            track_sides=bool(meta["track_sides"]),
-        )
-    except WalkStateError:
-        raise
-    except (ValueError, IndexError, TypeError, KeyError) as error:
-        raise WalkStateError(
-            f"corrupt shared snapshot: {error}"
-        ) from error
-
-
-def attach_walk_store(directory: PathLike) -> WalkIndex:
-    """Attach read-only to the store inside a shared snapshot directory.
-
-    The node arenas stay memory-mapped (zero-copy, shared across every
-    attached process via the page cache); the visit index and per-segment
-    columns are rebuilt privately.  The result is bit-identical to an
-    owned :func:`load_walk_store` of the same state, but write-protected:
-    every mutator raises :class:`WalkStateError`.
-    """
-    directory = Path(directory)
-    meta = _read_shared_manifest(directory, "walk_store")
-    return _attach_store_from(_SharedArrays(directory, meta), meta)
-
-
-def attach_engine(
-    directory: PathLike, *, rng=None, validate: bool = True
-) -> "IncrementalPageRank":
-    """Attach read-only to the engine inside a shared snapshot directory.
-
-    The restored engine's walk store is the mmap-backed read-only attach
-    of :func:`attach_walk_store`: queries work exactly as on an owned
-    load (same RNG contract, bit-identical answers), while mutations
-    (``apply``/``apply_batch``) raise :class:`WalkStateError` — workers
-    serve, the coordinator owns the write path.  ``validate=False`` skips
-    the O(total visits) graph-consistency check for fast worker swaps onto
-    generations the coordinator just wrote.
-    """
-    from repro.core.incremental import IncrementalPageRank
-
-    directory = Path(directory)
-    meta = _read_shared_manifest(directory, "incremental_pagerank")
-    data = _SharedArrays(directory, meta)
-    graph = DynamicDiGraph(
-        int(meta["num_nodes"]), allow_self_loops=bool(meta["allow_self_loops"])
-    )
-    for source, target in zip(data["edge_sources"], data["edge_targets"]):
-        graph.add_edge(int(source), int(target))
-    store = _attach_store_from(data, meta)
-    backend = (
-        f"sharded:{store.num_shards}"
-        if isinstance(store, ShardedWalkIndex)
-        else "columnar"
-    )
-    engine = IncrementalPageRank(
-        SocialStore.of_graph(graph),
-        reset_probability=float(meta["reset_probability"]),
-        walks_per_node=int(meta["walks_per_node"]),
-        reroute_policy=str(meta["reroute_policy"]),
-        rng=rng,
-        store_backend=backend,
-    )
-    engine.pagerank_store.walks = store
-    if validate:
-        _validate_against_graph(engine)
-    return engine
-
-
-def load_shared_engine(
-    directory: PathLike, *, rng=None, validate: bool = True
-) -> "IncrementalPageRank":
-    """Load an **owned, writable** engine from a shared snapshot directory.
-
-    The recovery counterpart of :func:`attach_engine`: same directory
-    format, but every array is copied out of the mmap into private memory
-    and the store is built through the writable ``from_arrays`` paths, so
-    the result accepts mutations (``apply_batch`` etc.).  This is what
-    :func:`repro.serve.wal.recover_engine` restarts a coordinator from —
-    a worker-style read-only attach could never replay the WAL tail.
-    """
-    from repro.core.incremental import IncrementalPageRank
-
-    directory = Path(directory)
-    meta = _read_shared_manifest(directory, "incremental_pagerank")
-    data = _SharedArrays(directory, meta)
-    graph = DynamicDiGraph(
-        int(meta["num_nodes"]), allow_self_loops=bool(meta["allow_self_loops"])
-    )
-    for source, target in zip(data["edge_sources"], data["edge_targets"]):
-        graph.add_edge(int(source), int(target))
-    version = int(meta["format_version"])
-    if version < 2:
-        raise WalkStateError(
-            "corrupt shared snapshot: v1 snapshots cannot be loaded "
-            "(no flat arena)"
-        )
-    try:
-        if version >= SHARDED_VERSION:
-            num_shards = int(meta["num_shards"])
-            blocks = [
-                {
-                    name: np.array(data[f"shard{shard_index}_{name}"])
-                    for name in (
-                        "segment_nodes",
-                        "segment_lengths",
-                        "segment_end_reasons",
-                        "segment_parities",
-                        "global_ids",
-                    )
-                }
-                for shard_index in range(num_shards)
-            ]
-            store: WalkIndex = ShardedWalkIndex.from_shard_arrays(
-                blocks,
-                num_nodes=int(meta["num_nodes"]),
-                track_sides=bool(meta["track_sides"]),
-                copy=True,
-            )
-            backend = f"sharded:{store.num_shards}"
-        else:
-            store = ColumnarWalkStore.from_arrays(
-                np.array(data["segment_nodes"]),
-                np.array(data["segment_lengths"]),
-                np.array(data["segment_end_reasons"]),
-                np.array(data["segment_parities"]),
-                num_nodes=int(meta["num_nodes"]),
-                track_sides=bool(meta["track_sides"]),
-            )
-            backend = "columnar"
-    except WalkStateError:
-        raise
-    except (ValueError, IndexError, TypeError, KeyError) as error:
-        raise WalkStateError(f"corrupt shared snapshot: {error}") from error
-    engine = IncrementalPageRank(
-        SocialStore.of_graph(graph),
-        reset_probability=float(meta["reset_probability"]),
-        walks_per_node=int(meta["walks_per_node"]),
-        reroute_policy=str(meta["reroute_policy"]),
-        rng=rng,
-        store_backend=backend,
-    )
-    engine.pagerank_store.walks = store
-    if validate:
-        _validate_against_graph(engine)
-    return engine

@@ -1,0 +1,24 @@
+"""The ``"object"`` lane of the snapshot differentials.
+
+Snapshots restore as columnar (or sharded) stores only; the reference
+:class:`~repro.core.walks.WalkStore` survives as the differential oracle.
+"""
+
+from __future__ import annotations
+
+from repro.core.walks import WalkStore
+
+
+def rehome_as_object(engine):
+    """Re-home a restored engine's segments into a :class:`WalkStore`.
+
+    Replays ``add_segment`` in id order, rebuilding the visit index by
+    construction — the state a native object-backend load would produce.
+    """
+    loaded = engine.walks
+    store = WalkStore(loaded.num_nodes, track_sides=loaded.track_sides)
+    for _, segment in loaded.iter_segments():
+        store.add_segment(segment)
+    engine.store_backend = "object"
+    engine.adopt_store(store)
+    return engine

@@ -19,7 +19,7 @@ from repro.core.query_kernel import QueryKernel
 from repro.core.salsa import IncrementalSALSA
 from repro.graph.digraph import DynamicDiGraph
 from repro.serve.engine import QueryEngine
-from repro.store.persistence import load_walk_store, save_walk_store
+from repro.store.persistence import attach_walk_store, save_shared_snapshot
 
 BACKENDS = ["object", "columnar", "sharded:3"]
 
@@ -71,9 +71,7 @@ def test_empty_graph_engines_bit_identical():
 def test_empty_store_roundtrip(tmp_path, backend):
     store = make_walk_store(0, backend=backend)
     store.check_invariants()
-    path = tmp_path / "empty.npz"
-    save_walk_store(store, path)
-    restored = load_walk_store(path)
+    restored = attach_walk_store(save_shared_snapshot(store, tmp_path / "empty"))
     assert restored.num_segments == 0
     assert restored.total_visits == 0
     restored.check_invariants()

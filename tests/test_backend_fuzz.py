@@ -33,6 +33,7 @@ import time
 
 import numpy as np
 import pytest
+from object_oracle import rehome_as_object
 
 from repro.core.incremental import IncrementalPageRank
 from repro.core.personalized import PersonalizedPageRank
@@ -55,7 +56,7 @@ from repro.serve import (
     recover_engine,
 )
 from repro.serve.traffic import zipf_seed_sequence
-from repro.store.persistence import load_engine, save_engine
+from repro.store.persistence import load_shared_engine, save_shared_snapshot
 from repro.workloads.twitter_like import twitter_like_graph
 
 BACKENDS = ["object", "columnar", "sharded:1", "sharded:2", "sharded:4", "sharded:7"]
@@ -166,11 +167,13 @@ def generate_ops(
 # ----------------------------------------------------------------------
 
 
-def _save_version(engine) -> "int | None":
-    """Snapshot version that keeps the engine's backend class stable."""
+def _checkpoint(engine, directory, rng):
+    """Snapshot ``engine`` and continue from the loaded image, same backend."""
+    save_shared_snapshot(engine, directory)
+    loaded = load_shared_engine(directory, rng=rng)
     if isinstance(engine.walks, WalkStore):
-        return 1
-    return None  # native default: v3 for sharded, v2 for columnar
+        return rehome_as_object(loaded)
+    return loaded
 
 
 def replay(
@@ -395,15 +398,14 @@ def replay(
                 trace.append(("noop",))
                 continue
             stem = f"crash-{backend.replace(':', '-')}-{index}"
-            snapshot = tmp_path / f"{stem}.npz"
-            save_engine(engine, snapshot, version=_save_version(engine))
+            snapshot = tmp_path / stem
             # checkpoint adoption: snapshots compact the walk layout, so
             # recovery is bit-identical *relative to the checkpoint
             # image* (repro.serve.wal's contract) — the live engine
             # therefore continues from the image it just wrote, exactly
             # like a process restarting from its own checkpoint
-            engine = load_engine(
-                snapshot, rng=np.random.default_rng([seed, index, 1])
+            engine = _checkpoint(
+                engine, snapshot, np.random.default_rng([seed, index, 1])
             )
             wal_path = tmp_path / f"{stem}.wal"
             # reopening appends after the valid prefix — a leftover from
@@ -420,7 +422,10 @@ def replay(
             recovered, recovery = recover_engine(snapshot, wal_path)
             assert recovered.pagerank().tobytes() == engine.pagerank().tobytes()
             assert recovered.rng_state() == engine.rng_state()
-            engine = recovered
+            if not isinstance(engine.walks, WalkStore):
+                # recovery restores columnar/sharded stores only; the
+                # object oracle's live engine is the same image + batch
+                engine = recovered
             trace.append(
                 (
                     "crash_recover",
@@ -434,9 +439,10 @@ def replay(
             )
         elif kind == "roundtrip":
             _, index = op
-            path = tmp_path / f"fuzz-{backend.replace(':', '-')}-{index}.npz"
-            save_engine(engine, path, version=_save_version(engine))
-            engine = load_engine(path, rng=np.random.default_rng([seed, index]))
+            path = tmp_path / f"fuzz-{backend.replace(':', '-')}-{index}"
+            engine = _checkpoint(
+                engine, path, np.random.default_rng([seed, index])
+            )
             trace.append(
                 (
                     "roundtrip",

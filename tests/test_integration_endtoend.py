@@ -19,7 +19,7 @@ from repro.core.incremental import IncrementalPageRank
 from repro.core.personalized import PersonalizedPageRank
 from repro.core.salsa import IncrementalSALSA, PersonalizedSALSA
 from repro.core.topk import top_k_personalized
-from repro.store.persistence import load_engine, save_engine
+from repro.store.persistence import load_shared_engine, save_shared_snapshot
 from repro.workloads.seeds import users_with_friend_count
 from repro.workloads.twitter_like import twitter_like_stream
 
@@ -69,9 +69,8 @@ class TestQueriesOnRestoredStore:
     def test_snapshot_restore_query(self, world, tmp_path):
         """Persist mid-flight, restore, and serve queries from the restore."""
         _, engine, _ = world
-        path = tmp_path / "engine.npz"
-        save_engine(engine, path)
-        restored = load_engine(path, rng=7)
+        path = save_shared_snapshot(engine, tmp_path / "engine")
+        restored = load_shared_engine(path, rng=7)
 
         seeds = users_with_friend_count(
             restored.graph, minimum=8, maximum=40, count=3, rng=8

@@ -153,8 +153,8 @@ class TestStoreShape:
     def test_r_segments_per_node(self, random_graph):
         store = build_walk_store(random_graph, 7, 0.2, rng=1)
         for node in range(random_graph.num_nodes):
-            assert len(store.segments_of[node]) == 7
-            for sid in store.segments_of[node]:
+            assert len(store.segments_starting_at(node)) == 7
+            for sid in store.segments_starting_at(node):
                 assert store.get(sid).source == node
         store.check_invariants()
 

@@ -1,4 +1,10 @@
-"""Snapshot/restore: round trips, validation, corruption detection."""
+"""Snapshot directories: round trips, validation, corruption detection.
+
+Every engine snapshot can be opened two ways — attached (mmap, read-only)
+or owned (private, writable) — through one restore path, so the round-trip
+and corrupt-input checks here run against both openers.  Class and test
+names predate the single format and are kept stable on purpose.
+"""
 
 from __future__ import annotations
 
@@ -12,71 +18,183 @@ from repro.core.incremental import IncrementalPageRank
 from repro.core.monte_carlo import build_walk_store
 from repro.core.salsa import IncrementalSALSA
 from repro.core.sharded_walks import ShardedWalkIndex
-from repro.core.walks import END_RESET, WalkSegment, WalkStore
+from repro.core.walks import END_RESET, WalkSegment
 from repro.errors import ConfigurationError, WalkStateError
 from repro.graph.arrival import ArrivalEvent
+from repro.store import persistence
 from repro.store.persistence import (
     attach_engine,
     attach_walk_store,
-    load_engine,
-    load_walk_store,
-    save_engine,
+    load_shared_engine,
     save_shared_snapshot,
-    save_walk_store,
 )
+
+ENGINE_OPENERS = {"attached": attach_engine, "owned": load_shared_engine}
+ALL_OPENERS = (attach_walk_store, attach_engine, load_shared_engine)
+
+
+def _engine(graph, backend="columnar", rng=4):
+    return IncrementalPageRank.from_graph(
+        graph.copy(), walks_per_node=2, rng=rng, store_backend=backend
+    )
+
+
+def _segments(store):
+    return [
+        (seg.nodes, seg.end_reason, seg.parity_offset)
+        for _, seg in store.iter_segments()
+    ]
+
+
+def _assert_same_arrays(restored, original):
+    for ours, theirs in zip(restored.to_arrays(), original.to_arrays()):
+        assert ours.dtype == theirs.dtype
+        assert np.array_equal(ours, theirs)
+
+
+def _traversed_edge(engine):
+    """An edge some stored walk steps over: removing it forces a reroute."""
+    edges = set(engine.graph.edge_list())
+    return next(
+        (a, b)
+        for _, seg in engine.walks.iter_segments()
+        for a, b in zip(seg.nodes, seg.nodes[1:])
+        if (a, b) in edges
+    )
+
+
+def _edit_manifest(directory, edit):
+    manifest = directory / "manifest.json"
+    meta = json.loads(manifest.read_text(encoding="utf-8"))
+    edit(meta)
+    manifest.write_text(json.dumps(meta), encoding="utf-8")
+
+
+def _edit_array(directory, name, edit):
+    path = directory / f"{name}.npy"
+    np.save(path, edit(np.load(path)))
+
+
+def _poke(directory, name, index, value):
+    def edit(array):
+        array[index] = value
+        return array
+
+    _edit_array(directory, name, edit)
+
+
+def _assert_rejected(directory, error, match, openers=ALL_OPENERS):
+    """Every opener refuses ``directory`` — same fault, same message."""
+    messages = set()
+    for opener in openers:
+        with pytest.raises(error, match=match) as caught:
+            opener(directory)
+        messages.add(str(caught.value))
+    assert len(messages) == 1, messages
+
+
+@pytest.mark.parametrize("opener", ENGINE_OPENERS)
+@pytest.mark.parametrize("backend", ["columnar", "sharded:1", "sharded:4"])
+def test_round_trip(random_graph, tmp_path, backend, opener):
+    """One format, both openers, every backend: the image is bit-identical
+    and an owned restore continues exactly like a never-persisted twin."""
+    engine = _engine(random_graph, backend)
+    twin = _engine(random_graph, backend)
+    directory = save_shared_snapshot(engine, tmp_path / "snap")
+    restored = ENGINE_OPENERS[opener](directory, rng=np.random.default_rng(77))
+    assert type(restored.walks) is type(engine.walks)
+    assert restored.store_backend == backend
+    assert restored.walks_per_node == engine.walks_per_node
+    assert restored.reset_probability == engine.reset_probability
+    assert restored.graph.edge_list() == engine.graph.edge_list()
+    restored.walks.check_invariants()
+    _assert_same_arrays(restored.walks, engine.walks)
+    assert np.array_equal(restored.pagerank(), engine.pagerank())
+    assert restored.walks.readonly == (opener == "attached")
+
+    batch = [
+        ArrivalEvent("remove", *_traversed_edge(engine)),
+        *(
+            ArrivalEvent("add", u, v)
+            for u, v in ((1, 5), (5, 9), (2, 4))
+            if not engine.graph.has_edge(u, v)
+        ),
+    ]
+    if opener == "attached":
+        with pytest.raises(WalkStateError, match="read-only"):
+            restored.apply_batch(batch)
+        return
+    twin.set_rng_state(restored.rng_state())
+    ours, theirs = restored.apply_batch(batch), twin.apply_batch(batch)
+    assert ours.dirty_nodes == theirs.dirty_nodes
+    assert ours.segments_rerouted == theirs.segments_rerouted > 0
+    restored.walks.check_invariants()
+    _assert_same_arrays(restored.walks, twin.walks)
+    assert np.array_equal(restored.pagerank(), twin.pagerank())
+
+
+def _salsa_sides_round_trip(graph, directory, *, copy):
+    """SALSA's side-tracking store, opened attached or owned."""
+    original = IncrementalSALSA.from_graph(graph, walks_per_node=2, rng=2).walks
+    save_shared_snapshot(original, directory)
+    # bare stores have no public owned opener; recovery loads engines
+    restored = persistence._restore(directory, persistence.KIND_STORE, copy=copy)
+    assert isinstance(restored, ColumnarWalkStore) and restored.track_sides
+    restored.check_invariants()
+    _assert_same_arrays(restored, original)
+    for side in (0, 1):
+        assert np.array_equal(
+            restored.side_visit_count_array(side),
+            original.side_visit_count_array(side),
+        )
+    return restored
 
 
 class TestWalkStoreRoundTrip:
+    """Bare-store snapshots (manifest kind ``walk_store``)."""
+
     def test_round_trip_preserves_everything(self, random_graph, tmp_path):
         store = build_walk_store(random_graph, 4, 0.25, rng=1)
-        path = tmp_path / "store.npz"
-        save_walk_store(store, path)
-        restored = load_walk_store(path)
+        restored = attach_walk_store(
+            save_shared_snapshot(store, tmp_path / "store")
+        )
         restored.check_invariants()
         assert restored.num_nodes == store.num_nodes
         assert restored.total_visits == store.total_visits
         assert restored.visit_count_array().tolist() == (
             store.visit_count_array().tolist()
         )
-        for (_, a), (_, b) in zip(store.iter_segments(), restored.iter_segments()):
-            assert a.nodes == b.nodes
-            assert a.end_reason == b.end_reason
+        assert _segments(restored) == _segments(store)
 
     def test_side_tracking_round_trip(self, random_graph, tmp_path):
-        engine = IncrementalSALSA.from_graph(random_graph, walks_per_node=2, rng=2)
-        path = tmp_path / "salsa.npz"
-        save_walk_store(engine.walks, path)
-        restored = load_walk_store(path)
-        assert restored.track_sides
-        restored.check_invariants()
-        for side in (0, 1):
-            assert restored.side_visit_count_array(side).tolist() == (
-                engine.walks.side_visit_count_array(side).tolist()
-            )
+        directory = tmp_path / "salsa"
+        attached = _salsa_sides_round_trip(random_graph, directory, copy=False)
+        meta = json.loads((directory / "manifest.json").read_text())
+        assert meta["kind"] == "walk_store" and meta["track_sides"] is True
+        with pytest.raises(WalkStateError, match="read-only"):
+            attached.add_segment(WalkSegment([0, 1], END_RESET))
 
     def test_wrong_kind_rejected(self, random_graph, tmp_path):
-        engine = IncrementalPageRank.from_graph(random_graph, walks_per_node=2, rng=3)
-        path = tmp_path / "engine.npz"
-        save_engine(engine, path)
-        with pytest.raises(ConfigurationError):
-            load_walk_store(path)
+        directory = save_shared_snapshot(_engine(random_graph), tmp_path / "snap")
+        # an engine snapshot contains a store, so it attaches as one…
+        assert attach_walk_store(directory).num_segments
+        # …but a kind nobody writes is refused by every opener
+        _edit_manifest(directory, lambda meta: meta.update(kind="mystery"))
+        for opener in ALL_OPENERS:
+            with pytest.raises(WalkStateError, match="holds a 'mystery'"):
+                opener(directory)
 
 
 class TestEngineRoundTrip:
     def test_restored_engine_continues_correctly(self, random_graph, tmp_path):
-        engine = IncrementalPageRank.from_graph(
-            random_graph.copy(), walks_per_node=3, rng=4
-        )
+        engine = _engine(random_graph)
         before = engine.pagerank()
-        path = tmp_path / "engine.npz"
-        save_engine(engine, path)
-        restored = load_engine(path, rng=5)
-        # identical state…
-        assert np.allclose(restored.pagerank(), before)
-        assert restored.walks_per_node == engine.walks_per_node
-        assert restored.reset_probability == engine.reset_probability
+        restored = load_shared_engine(
+            save_shared_snapshot(engine, tmp_path / "engine"), rng=5
+        )
+        assert np.array_equal(restored.pagerank(), before)
         assert sorted(restored.graph.edges()) == sorted(engine.graph.edges())
-        # …and it keeps working: mutations maintain invariants
+        # …and it keeps working: single-edge mutations maintain invariants
         rng = np.random.default_rng(6)
         for _ in range(20):
             u, v = int(rng.integers(60)), int(rng.integers(60))
@@ -86,189 +204,96 @@ class TestEngineRoundTrip:
 
     def test_snapshot_mismatch_detected(self, random_graph, tmp_path):
         """A snapshot whose segments disagree with its graph must not load."""
-        engine = IncrementalPageRank.from_graph(
-            random_graph.copy(), walks_per_node=2, rng=7
-        )
-        path = tmp_path / "engine.npz"
-        save_engine(engine, path)
+        engine = _engine(random_graph, rng=7)
+        directory = save_shared_snapshot(engine, tmp_path / "engine")
         # corrupt: rewrite one walked-over edge out of the edge list
-        data = dict(np.load(path, allow_pickle=False))
-        segment_nodes = data["segment_nodes"]
-        lengths = data["segment_lengths"]
-        # find a segment of length >= 2 and delete its first edge from graph
-        offset = 0
-        victim = None
-        for length in lengths:
-            if length >= 2:
-                victim = (int(segment_nodes[offset]), int(segment_nodes[offset + 1]))
-                break
-            offset += int(length)
-        assert victim is not None
-        sources = data["edge_sources"]
-        targets = data["edge_targets"]
-        keep = ~((sources == victim[0]) & (targets == victim[1]))
-        data["edge_sources"] = sources[keep]
-        data["edge_targets"] = targets[keep]
-        np.savez_compressed(path, **data)
-        with pytest.raises(WalkStateError):
-            load_engine(path)
+        source, target = _traversed_edge(engine)
+        sources = np.load(directory / "edge_sources.npy")
+        targets = np.load(directory / "edge_targets.npy")
+        keep = ~((sources == source) & (targets == target))
+        np.save(directory / "edge_sources.npy", sources[keep])
+        np.save(directory / "edge_targets.npy", targets[keep])
+        _assert_rejected(
+            directory,
+            WalkStateError,
+            "snapshot mismatch: segment step",
+            openers=ENGINE_OPENERS.values(),
+        )
+        # validate=False is the worker fast path: it trusts the coordinator
+        assert attach_engine(directory, validate=False).walks.num_segments
 
     def test_version_check(self, random_graph, tmp_path):
-        engine = IncrementalPageRank.from_graph(random_graph, walks_per_node=2, rng=8)
-        path = tmp_path / "engine.npz"
-        save_engine(engine, path)
-        data = dict(np.load(path, allow_pickle=False))
-        meta = json.loads(str(data["meta"]))
-        meta["format_version"] = 99
-        data["meta"] = json.dumps(meta)
-        np.savez_compressed(path, **data)
-        with pytest.raises(ConfigurationError):
-            load_engine(path)
+        directory = save_shared_snapshot(_engine(random_graph), tmp_path / "snap")
+        _edit_manifest(directory, lambda meta: meta.update(format_version=99))
+        _assert_rejected(
+            directory, WalkStateError, "unsupported shared snapshot format 99"
+        )
 
     def test_corrupt_arena_detected(self, random_graph, tmp_path):
-        store = build_walk_store(random_graph, 2, 0.25, rng=9)
-        path = tmp_path / "store.npz"
-        save_walk_store(store, path)
-        data = dict(np.load(path, allow_pickle=False))
-        data["segment_nodes"] = data["segment_nodes"][:-1]  # truncate arena
-        np.savez_compressed(path, **data)
-        with pytest.raises(WalkStateError):
-            load_walk_store(path)
+        directory = save_shared_snapshot(_engine(random_graph), tmp_path / "snap")
+        _edit_array(directory, "segment_nodes", lambda nodes: nodes[:-1])
+        _assert_rejected(directory, WalkStateError, "arena length mismatch")
 
 
 class TestFormatVersions:
-    """v1 compatibility, v2 zero-copy round-trips, auto-detection."""
-
-    def _meta_version(self, path) -> int:
-        with np.load(path, allow_pickle=False) as data:
-            return int(json.loads(str(data["meta"]))["format_version"])
-
-    def test_v1_snapshots_still_load(self, random_graph, tmp_path):
-        """The legacy replay path keeps working for old snapshots."""
-        store = build_walk_store(random_graph, 3, 0.25, rng=10, backend="columnar")
-        path = tmp_path / "legacy.npz"
-        save_walk_store(store, path, version=1)
-        assert self._meta_version(path) == 1
-        restored = load_walk_store(path)
-        assert isinstance(restored, WalkStore)  # v1 replays into the object store
-        restored.check_invariants()
-        assert restored.total_visits == store.total_visits
-        for (_, a), (_, b) in zip(store.iter_segments(), restored.iter_segments()):
-            assert a.nodes == b.nodes
-            assert a.end_reason == b.end_reason
-            assert a.parity_offset == b.parity_offset
+    """Content checks on the flat layout (what the retired formats called v2)."""
 
     def test_v2_roundtrips_into_columnar(self, random_graph, tmp_path):
+        """Any WalkIndex saves; what comes back is always columnar."""
         store = build_walk_store(random_graph, 3, 0.25, rng=11, backend="object")
-        path = tmp_path / "current.npz"
-        save_walk_store(store, path)
-        assert self._meta_version(path) == 2
-        restored = load_walk_store(path)
+        restored = attach_walk_store(
+            save_shared_snapshot(store, tmp_path / "store")
+        )
         assert isinstance(restored, ColumnarWalkStore)
         restored.check_invariants()
-        assert restored.total_visits == store.total_visits
         assert restored.visit_count_array().tolist() == (
             store.visit_count_array().tolist()
         )
-        for (_, a), (_, b) in zip(store.iter_segments(), restored.iter_segments()):
-            assert a.nodes == b.nodes
-            assert a.end_reason == b.end_reason
-
-    def test_load_engine_auto_detects_version(self, random_graph, tmp_path):
-        engine = IncrementalPageRank.from_graph(
-            random_graph.copy(), walks_per_node=2, rng=12
-        )
-        path_v1 = tmp_path / "engine_v1.npz"
-        path_v2 = tmp_path / "engine_v2.npz"
-        save_engine(engine, path_v1, version=1)
-        save_engine(engine, path_v2)
-        restored_v1 = load_engine(path_v1)
-        restored_v2 = load_engine(path_v2)
-        assert isinstance(restored_v1.walks, WalkStore)
-        assert isinstance(restored_v2.walks, ColumnarWalkStore)
-        assert np.array_equal(restored_v1.pagerank(), engine.pagerank())
-        assert np.array_equal(restored_v2.pagerank(), engine.pagerank())
-
-    def test_save_rejects_unknown_version(self, random_graph, tmp_path):
-        store = build_walk_store(random_graph, 2, 0.25, rng=13)
-        with pytest.raises(ConfigurationError):
-            save_walk_store(store, tmp_path / "bad.npz", version=3)
-        engine = IncrementalPageRank.from_graph(
-            random_graph.copy(), walks_per_node=2, rng=13
-        )
-        with pytest.raises(ConfigurationError):
-            save_engine(engine, tmp_path / "bad_engine.npz", version=0)
+        assert _segments(restored) == _segments(store)
 
     def test_v2_out_of_range_node_detected(self, random_graph, tmp_path):
         """A node id outside the snapshot's graph must not alias onto a
         legitimate edge key during vectorized revalidation."""
-        engine = IncrementalPageRank.from_graph(
-            random_graph.copy(), walks_per_node=2, rng=16
+        engine = _engine(random_graph, rng=16)
+        directory = save_shared_snapshot(engine, tmp_path / "snap")
+        # the final visit is not a step, so only the range check can catch it
+        _poke(directory, "segment_nodes", -1, engine.graph.num_nodes + 1)
+        _assert_rejected(
+            directory,
+            WalkStateError,
+            "outside the 60-node graph",
+            openers=ENGINE_OPENERS.values(),
         )
-        path = tmp_path / "engine.npz"
-        save_engine(engine, path)
-        data = dict(np.load(path, allow_pickle=False))
-        nodes = data["segment_nodes"].copy()
-        nodes[-1] = engine.graph.num_nodes + 1  # final visit: not a step
-        data["segment_nodes"] = nodes
-        np.savez_compressed(path, **data)
-        with pytest.raises(WalkStateError):
-            load_engine(path)
 
     def test_v2_negative_node_detected(self, random_graph, tmp_path):
-        store = build_walk_store(random_graph, 2, 0.25, rng=17)
-        path = tmp_path / "store.npz"
-        save_walk_store(store, path)
-        data = dict(np.load(path, allow_pickle=False))
-        nodes = data["segment_nodes"].copy()
-        nodes[0] = -3
-        data["segment_nodes"] = nodes
-        np.savez_compressed(path, **data)
-        with pytest.raises(WalkStateError):
-            load_walk_store(path)
+        directory = save_shared_snapshot(_engine(random_graph), tmp_path / "snap")
+        _poke(directory, "segment_nodes", 0, -3)
+        _assert_rejected(directory, WalkStateError, "negative node id")
 
     def test_v2_corrupt_reason_detected(self, random_graph, tmp_path):
-        store = build_walk_store(random_graph, 2, 0.25, rng=14)
-        path = tmp_path / "store.npz"
-        save_walk_store(store, path)
-        data = dict(np.load(path, allow_pickle=False))
-        reasons = data["segment_end_reasons"].copy()
-        reasons[0] = 9
-        data["segment_end_reasons"] = reasons
-        np.savez_compressed(path, **data)
-        with pytest.raises(WalkStateError):
-            load_walk_store(path)
+        directory = save_shared_snapshot(_engine(random_graph), tmp_path / "snap")
+        _poke(directory, "segment_end_reasons", 0, 9)
+        _assert_rejected(directory, WalkStateError, "unknown end reason")
 
     def test_salsa_sides_survive_v2(self, random_graph, tmp_path):
-        engine = IncrementalSALSA.from_graph(random_graph, walks_per_node=2, rng=15)
-        path = tmp_path / "salsa_v2.npz"
-        save_walk_store(engine.walks, path)
-        restored = load_walk_store(path)
-        assert isinstance(restored, ColumnarWalkStore)
-        assert restored.track_sides
-        restored.check_invariants()
-        for side in (0, 1):
-            assert restored.side_visit_count_array(side).tolist() == (
-                engine.walks.side_visit_count_array(side).tolist()
-            )
+        owned = _salsa_sides_round_trip(random_graph, tmp_path / "salsa", copy=True)
+        owned.add_segment(WalkSegment([0, 1], END_RESET))
+        owned.check_invariants()
 
 
 class TestShardedManifests:
-    """v3 per-shard manifests, v1 → v2 → v3 migration, corruption."""
+    """Per-shard blocks behind the manifest's ``num_shards``; corruption."""
 
     def _sharded_engine(self, graph, *, shards=5, rng=21):
-        return IncrementalPageRank.from_graph(
-            graph.copy(),
-            walks_per_node=2,
-            rng=rng,
-            store_backend=f"sharded:{shards}",
-        )
+        return _engine(graph, f"sharded:{shards}", rng=rng)
 
     def test_sharded_store_roundtrips_as_manifest(self, random_graph, tmp_path):
         engine = self._sharded_engine(random_graph)
-        path = tmp_path / "sharded.npz"
-        save_walk_store(engine.walks, path)  # native default = v3
-        restored = load_walk_store(path)
+        directory = save_shared_snapshot(engine.walks, tmp_path / "sharded")
+        meta = json.loads((directory / "manifest.json").read_text())
+        assert meta["num_shards"] == 5
+        assert "shard4_global_ids" in meta["arrays"]
+        restored = attach_walk_store(directory)
         assert isinstance(restored, ShardedWalkIndex)
         assert restored.num_shards == 5
         restored.check_invariants()
@@ -283,14 +308,14 @@ class TestShardedManifests:
     ):
         engine = self._sharded_engine(random_graph)
         twin = self._sharded_engine(random_graph)
-        path = tmp_path / "engine_v3.npz"
-        save_engine(engine, path)
-        restored = load_engine(path, rng=np.random.default_rng(77))
-        assert isinstance(restored.walks, ShardedWalkIndex)
+        restored = load_shared_engine(
+            save_shared_snapshot(engine, tmp_path / "engine"),
+            rng=np.random.default_rng(77),
+        )
         assert restored.store_backend == "sharded:5"
         # a restored engine and a never-persisted twin (same fresh RNG)
-        # keep producing identical results
-        twin._rng = np.random.default_rng(77)
+        # keep producing identical results through the single-edge paths
+        twin.set_rng_state(restored.rng_state())
         for source, target in ((1, 5), (5, 9), (2, 4)):
             if restored.graph.has_edge(source, target):
                 ra = restored.remove_edge(source, target)
@@ -301,114 +326,53 @@ class TestShardedManifests:
             assert ra.dirty_nodes == rb.dirty_nodes
         assert np.array_equal(restored.pagerank(), twin.pagerank())
 
-    def test_v1_to_v2_to_sharded_migration_chain(self, random_graph, tmp_path):
-        """The full upgrade path: legacy v1 → flat v2 → sharded v3."""
-        engine = IncrementalPageRank.from_graph(
-            random_graph.copy(), walks_per_node=2, rng=31, store_backend="object"
-        )
-        v1 = tmp_path / "chain_v1.npz"
-        save_engine(engine, v1, version=1)
-
-        # v1 → v2: load (object), re-save as flat columnar
-        from_v1 = load_engine(v1, rng=np.random.default_rng(1))
-        assert isinstance(from_v1.walks, WalkStore)
-        v2 = tmp_path / "chain_v2.npz"
-        save_engine(from_v1, v2, version=2)
-
-        # v2 → v3: load (columnar), migrate the store, re-save as manifest
-        from_v2 = load_engine(v2, rng=np.random.default_rng(1))
-        assert isinstance(from_v2.walks, ColumnarWalkStore)
-        from_v2.pagerank_store.walks = ShardedWalkIndex.from_arrays(
-            *from_v2.walks.to_arrays(),
-            num_nodes=from_v2.walks.num_nodes,
-            num_shards=3,
-        )
-        v3 = tmp_path / "chain_v3.npz"
-        save_engine(from_v2, v3)
-
-        from_v3 = load_engine(v3, rng=np.random.default_rng(1))
-        assert isinstance(from_v3.walks, ShardedWalkIndex)
-        from_v3.walks.check_invariants()
-        # nothing was lost anywhere along the chain
-        assert from_v3.walks.visit_count_array().tolist() == (
-            engine.walks.visit_count_array().tolist()
-        )
-        assert np.array_equal(from_v3.pagerank(), engine.pagerank())
-        # and the sharded engine can downgrade-save back to v2 losslessly
-        back = tmp_path / "chain_back_v2.npz"
-        save_engine(from_v3, back, version=2)
-        assert isinstance(
-            load_engine(back, rng=np.random.default_rng(2)).walks,
-            ColumnarWalkStore,
-        )
-
     def test_truncated_manifest_raises_cleanly(self, random_graph, tmp_path):
-        engine = self._sharded_engine(random_graph)
-        path = tmp_path / "trunc.npz"
-        save_engine(engine, path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 3])
-        with pytest.raises((ConfigurationError, WalkStateError)):
-            load_engine(path)
+        directory = save_shared_snapshot(
+            self._sharded_engine(random_graph), tmp_path / "trunc"
+        )
+        arena = directory / "shard1_segment_nodes.npy"
+        arena.write_bytes(arena.read_bytes()[:16])
+        _assert_rejected(
+            directory, WalkStateError, "array 'shard1_segment_nodes' unreadable"
+        )
 
     def test_garbage_file_raises_cleanly(self, tmp_path):
-        path = tmp_path / "garbage.npz"
-        path.write_bytes(b"this is not an npz archive")
-        with pytest.raises(ConfigurationError):
-            load_walk_store(path)
+        path = tmp_path / "garbage"
+        path.write_bytes(b"this is not a snapshot directory")
+        _assert_rejected(path, ConfigurationError, "not a shared snapshot")
 
     def test_missing_shard_arrays_raise_cleanly(self, random_graph, tmp_path):
-        engine = self._sharded_engine(random_graph, shards=3)
-        path = tmp_path / "missing.npz"
-        save_walk_store(engine.walks, path)
-        data = dict(np.load(path, allow_pickle=False))
-        data.pop("shard2_segment_nodes")
-        np.savez_compressed(path, **data)
-        with pytest.raises(WalkStateError, match="missing array"):
-            load_walk_store(path)
+        directory = save_shared_snapshot(
+            self._sharded_engine(random_graph, shards=3), tmp_path / "missing"
+        )
+        _edit_manifest(
+            directory, lambda meta: meta["arrays"].remove("shard2_segment_nodes")
+        )
+        _assert_rejected(
+            directory, WalkStateError, "missing array 'shard2_segment_nodes'"
+        )
 
     def test_manifest_without_shard_count_raises_cleanly(
         self, random_graph, tmp_path
     ):
-        engine = self._sharded_engine(random_graph, shards=2)
-        path = tmp_path / "nocount.npz"
-        save_walk_store(engine.walks, path)
-        data = dict(np.load(path, allow_pickle=False))
-        meta = json.loads(str(data["meta"]))
-        del meta["num_shards"]
-        data["meta"] = json.dumps(meta)
-        np.savez_compressed(path, **data)
-        with pytest.raises(WalkStateError, match="shard count"):
-            load_walk_store(path)
+        directory = save_shared_snapshot(
+            self._sharded_engine(random_graph, shards=2), tmp_path / "nocount"
+        )
+        _edit_manifest(directory, lambda meta: meta.pop("num_shards"))
+        _assert_rejected(directory, WalkStateError, "lacks a shard count")
+        _edit_manifest(directory, lambda meta: meta.update(num_shards=-2))
+        _assert_rejected(directory, WalkStateError, "must not be negative")
 
     def test_corrupt_global_ids_raise_cleanly(self, random_graph, tmp_path):
-        engine = self._sharded_engine(random_graph, shards=2)
-        path = tmp_path / "badids.npz"
-        save_walk_store(engine.walks, path)
-        data = dict(np.load(path, allow_pickle=False))
-        table = data["shard0_global_ids"].copy()
-        if table.size:
-            table[0] = 10**9  # escapes the segment-id space
-            data["shard0_global_ids"] = table
-        np.savez_compressed(path, **data)
-        with pytest.raises(WalkStateError, match="corrupt snapshot"):
-            load_walk_store(path)
-
-    def test_flat_store_cannot_save_as_v3(self, random_graph, tmp_path):
-        store = build_walk_store(random_graph, 2, 0.25, rng=41)
-        with pytest.raises(ConfigurationError, match="sharded"):
-            save_walk_store(store, tmp_path / "nope.npz", version=3)
+        directory = save_shared_snapshot(
+            self._sharded_engine(random_graph, shards=2), tmp_path / "badids"
+        )
+        _poke(directory, "shard0_global_ids", 0, 10**9)  # escapes the id space
+        _assert_rejected(directory, WalkStateError, "corrupt snapshot")
 
 
 class TestSharedSnapshotAttach:
-    """Read-only attach over mmap-able shared snapshot directories."""
-
-    @staticmethod
-    def _segments(store):
-        return [
-            (seg.nodes, seg.end_reason)
-            for _, seg in store.iter_segments()
-        ]
+    """Read-only attach, and the corrupt-input battery over every opener."""
 
     def test_flat_attach_bit_identical_and_write_protected(
         self, random_graph, tmp_path
@@ -419,14 +383,7 @@ class TestSharedSnapshotAttach:
         assert isinstance(attached, ColumnarWalkStore)
         assert attached.readonly
         attached.check_invariants()
-        assert self._segments(attached) == self._segments(store)
-        assert attached.visit_count_array().tolist() == (
-            store.visit_count_array().tolist()
-        )
-        # bit-identical to an owned load of the same state
-        save_walk_store(store, tmp_path / "owned.npz")
-        owned = load_walk_store(tmp_path / "owned.npz")
-        assert self._segments(attached) == self._segments(owned)
+        _assert_same_arrays(attached, store)
         with pytest.raises(WalkStateError, match="read-only"):
             attached.add_segment(WalkSegment([0, 1], END_RESET))
         with pytest.raises(WalkStateError, match="read-only"):
@@ -439,19 +396,12 @@ class TestSharedSnapshotAttach:
         directory = save_shared_snapshot(engine, tmp_path / "engine")
         attached = attach_engine(directory)
         assert attached.walks.readonly
-        assert self._segments(attached.walks) == self._segments(engine.walks)
+        assert _segments(attached.walks) == _segments(engine.walks)
         assert attached.graph.edge_list() == engine.graph.edge_list()
         # removing an edge some walk traversed forces a reroute, which
         # must hit the write guard on the attached store
-        edges = set(engine.graph.edge_list())
-        traversed = next(
-            (a, b)
-            for _, seg in engine.walks.iter_segments()
-            for a, b in zip(seg.nodes, seg.nodes[1:])
-            if (a, b) in edges
-        )
         with pytest.raises(WalkStateError, match="read-only"):
-            attached.apply(ArrivalEvent("remove", *traversed))
+            attached.apply(ArrivalEvent("remove", *_traversed_edge(engine)))
 
     def test_sharded_attach_round_trips_read_only(
         self, random_graph, tmp_path
@@ -463,64 +413,74 @@ class TestSharedSnapshotAttach:
         attached = attach_engine(directory)
         assert isinstance(attached.walks, ShardedWalkIndex)
         assert attached.walks.readonly
-        assert self._segments(attached.walks) == self._segments(engine.walks)
+        assert _segments(attached.walks) == _segments(engine.walks)
         with pytest.raises(WalkStateError, match="read-only"):
             attached.walks.add_segment(WalkSegment([0, 1], END_RESET))
 
     def test_missing_directory_and_manifest_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="not a shared snapshot"):
-            attach_walk_store(tmp_path / "nowhere")
+        _assert_rejected(
+            tmp_path / "nowhere", ConfigurationError, "not a shared snapshot"
+        )
         (tmp_path / "empty").mkdir()
-        with pytest.raises(ConfigurationError, match="not a shared snapshot"):
-            attach_walk_store(tmp_path / "empty")
+        _assert_rejected(
+            tmp_path / "empty", ConfigurationError, "not a shared snapshot"
+        )
 
     def test_corrupt_manifest_rejected(self, random_graph, tmp_path):
-        store = build_walk_store(random_graph, 2, 0.25, rng=22)
-        directory = save_shared_snapshot(store, tmp_path / "shared")
+        directory = save_shared_snapshot(_engine(random_graph), tmp_path / "snap")
         manifest = directory / "manifest.json"
         manifest.write_text(manifest.read_text()[:40], encoding="utf-8")
-        with pytest.raises(WalkStateError, match="unreadable manifest"):
-            attach_walk_store(directory)
+        _assert_rejected(directory, WalkStateError, "unreadable manifest")
+        manifest.write_text("[]", encoding="utf-8")
+        _assert_rejected(directory, WalkStateError, "manifest is not a mapping")
 
     def test_truncated_manifest_listing_rejected(
         self, random_graph, tmp_path
     ):
-        store = build_walk_store(random_graph, 2, 0.25, rng=23)
-        directory = save_shared_snapshot(store, tmp_path / "shared")
-        manifest = directory / "manifest.json"
-        meta = json.loads(manifest.read_text(encoding="utf-8"))
-        meta["arrays"] = [a for a in meta["arrays"] if a != "segment_nodes"]
-        manifest.write_text(json.dumps(meta), encoding="utf-8")
-        with pytest.raises(WalkStateError, match="missing array"):
-            attach_walk_store(directory)
+        directory = save_shared_snapshot(_engine(random_graph), tmp_path / "snap")
+        _edit_manifest(
+            directory, lambda meta: meta["arrays"].remove("segment_nodes")
+        )
+        _assert_rejected(
+            directory, WalkStateError, "missing array 'segment_nodes'"
+        )
+        _edit_manifest(directory, lambda meta: meta.pop("arrays"))
+        _assert_rejected(directory, WalkStateError, "lacks an array listing")
 
     def test_missing_array_file_rejected(self, random_graph, tmp_path):
-        store = build_walk_store(random_graph, 2, 0.25, rng=24)
-        directory = save_shared_snapshot(store, tmp_path / "shared")
+        directory = save_shared_snapshot(_engine(random_graph), tmp_path / "snap")
         (directory / "segment_lengths.npy").unlink()
-        with pytest.raises(WalkStateError, match="listed .* absent"):
-            attach_walk_store(directory)
+        _assert_rejected(directory, WalkStateError, "listed .* absent")
 
     def test_truncated_array_file_rejected(self, random_graph, tmp_path):
-        store = build_walk_store(random_graph, 2, 0.25, rng=25)
-        directory = save_shared_snapshot(store, tmp_path / "shared")
+        directory = save_shared_snapshot(_engine(random_graph), tmp_path / "snap")
         arena = directory / "segment_nodes.npy"
         arena.write_bytes(arena.read_bytes()[:16])
-        with pytest.raises(WalkStateError, match="corrupt shared snapshot"):
-            attach_walk_store(directory)
+        _assert_rejected(
+            directory, WalkStateError, "array 'segment_nodes' unreadable"
+        )
 
     def test_arena_length_mismatch_rejected(self, random_graph, tmp_path):
-        store = build_walk_store(random_graph, 2, 0.25, rng=26)
-        directory = save_shared_snapshot(store, tmp_path / "shared")
-        lengths = np.load(directory / "segment_lengths.npy")
-        if lengths.size:
-            lengths[0] += 1
-        np.save(directory / "segment_lengths.npy", lengths)
-        with pytest.raises(WalkStateError, match="length mismatch"):
-            attach_walk_store(directory)
+        directory = save_shared_snapshot(_engine(random_graph), tmp_path / "snap")
+        _poke(directory, "segment_lengths", 0, 10**6)
+        _assert_rejected(directory, WalkStateError, "arena length mismatch")
 
     def test_kind_mismatch_rejected(self, random_graph, tmp_path):
         store = build_walk_store(random_graph, 2, 0.25, rng=27)
         directory = save_shared_snapshot(store, tmp_path / "shared")
-        with pytest.raises(WalkStateError, match="expected"):
-            attach_engine(directory)
+        _assert_rejected(
+            directory,
+            WalkStateError,
+            "holds a 'walk_store', expected 'incremental_pagerank'",
+            openers=ENGINE_OPENERS.values(),
+        )
+
+    def test_wrong_dtype_array_rejected(self, random_graph, tmp_path):
+        """An owned load must not quietly truncate a non-integer arena."""
+        directory = save_shared_snapshot(_engine(random_graph), tmp_path / "snap")
+        _edit_array(
+            directory, "segment_nodes", lambda nodes: nodes.astype(np.float64)
+        )
+        _assert_rejected(
+            directory, WalkStateError, "not a one-dimensional integer vector"
+        )

@@ -24,6 +24,7 @@ import pytest
 from repro.core.incremental import IncrementalPageRank
 from repro.errors import ConfigurationError
 from repro.graph.arrival import ArrivalEvent
+from repro.obs.profile import LEVEL_PROFILE, set_level
 from repro.serve import (
     MultiProcessFrontend,
     QueryEngine,
@@ -33,7 +34,7 @@ from repro.serve import (
     read_wal,
     recover_engine,
 )
-from repro.store.persistence import save_engine, save_shared_snapshot
+from repro.store.persistence import save_shared_snapshot
 from repro.workloads.twitter_like import twitter_like_graph
 
 NUM_NODES = 32
@@ -247,18 +248,20 @@ class TestRecoveryDifferential:
         assert recovered.pagerank().tobytes() == engine.pagerank().tobytes()
         assert recovered.rng_state() == engine.rng_state()
 
-    def test_recover_from_npz_snapshot(self, tmp_path):
-        """recover_engine also accepts a save_engine file snapshot."""
-        engine = _fresh_engine()
-        snapshot = tmp_path / "snap.npz"
-        save_engine(engine, snapshot)
-        with WriteAheadLog(tmp_path / "updates.wal") as wal:
-            engine.attach_wal(wal)
-            engine.apply_batch(_wal_batches()[0])
-            engine.detach_wal()
-        recovered, report = recover_engine(snapshot, tmp_path / "updates.wal")
-        assert report.records_replayed == 1
-        assert recovered.pagerank().tobytes() == engine.pagerank().tobytes()
+    def test_recovered_sharded_store_is_bound_to_the_profiler(self, tmp_path):
+        """A restored store enters through ``adopt_store`` like a freshly
+        built one, so post-recovery repairs bill ``shard_repair``."""
+        snapshot = save_shared_snapshot(
+            _fresh_engine("sharded:3"), tmp_path / "snap"
+        )
+        previous = set_level(LEVEL_PROFILE)
+        try:
+            recovered, _ = recover_engine(snapshot, tmp_path / "no.wal")
+            recovered.apply_batch(_wal_batches()[0])
+        finally:
+            set_level(previous)
+        series = 'repro_store_stage_seconds_count{stage="shard_repair"}'
+        assert recovered.registry.snapshot().get(series, 0) > 0
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_torn_final_record_recovers_the_acknowledged_prefix(

@@ -187,15 +187,19 @@ def test_salsa_updates_and_queries_bit_identical(seed):
 
 
 def test_engine_continues_identically_after_persistence_roundtrip(tmp_path):
-    from repro.store.persistence import load_engine, save_engine
+    from object_oracle import rehome_as_object
+
+    from repro.store.persistence import load_shared_engine, save_shared_snapshot
 
     columnar, objectful = _engine_pair(7)
-    path_v2 = tmp_path / "engine_v2.npz"
-    path_v1 = tmp_path / "engine_v1.npz"
-    save_engine(columnar, path_v2)
-    save_engine(objectful, path_v1, version=1)
-    restored_columnar = load_engine(path_v2, rng=np.random.default_rng(99))
-    restored_object = load_engine(path_v1, rng=np.random.default_rng(99))
+    save_shared_snapshot(columnar, tmp_path / "columnar")
+    save_shared_snapshot(objectful, tmp_path / "object")
+    restored_columnar = load_shared_engine(
+        tmp_path / "columnar", rng=np.random.default_rng(99)
+    )
+    restored_object = rehome_as_object(
+        load_shared_engine(tmp_path / "object", rng=np.random.default_rng(99))
+    )
     assert isinstance(restored_columnar.walks, ColumnarWalkStore)
     assert isinstance(restored_object.walks, WalkStore)
     _assert_stores_equal(restored_columnar.walks, restored_object.walks)
