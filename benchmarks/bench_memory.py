@@ -2,8 +2,9 @@
 
 The ISSUE-3 acceptance bar: the columnar engine must hold the same
 walk set in ≥2× fewer bytes per stored walk (measured via each backend's
-``memory_bytes()``), with arena utilization reported honestly after
-update churn and after ``compact()``.
+``memory_bytes()``), and update churn must not loosen it: the store
+keeps itself within a constant of its live payload (DESIGN.md §7), so
+``compact()`` has little left to reclaim.
 
 Set ``REPRO_BENCH_FAST=1`` to shrink to smoke-test scale (CI).
 """
@@ -80,8 +81,8 @@ def run_memory_comparison() -> dict[str, dict[str, float]]:
             row["bytes_per_walk_after_compact"] = (
                 walks.memory_bytes() / walks.num_segments
             )
-            row["arena_utilization_after_compact"] = walks.memory_stats()[
-                "arena_utilization"
+            row["index_utilization_after_compact"] = walks.memory_stats()[
+                "index_utilization"
             ]
         report[backend] = row
     return report
@@ -112,10 +113,13 @@ def test_e_mem_bytes_per_walk(benchmark, once):
     assert obj["visits"] == col["visits"]
     # the headline acceptance: >=2x lower bytes per stored walk
     assert obj["bytes_per_walk"] >= 2.0 * col["bytes_per_walk"]
-    # churn slack must never be runaway: utilization stays visible and
-    # compaction restores a tight arena
+    # tightness is maintained, not restored: after churn the store is
+    # within 1.5x of what an explicit compact() leaves
     assert 0.0 < col["arena_utilization_after_churn"] <= 1.0
-    assert col["arena_utilization_after_compact"] > 0.99
-    assert col["bytes_per_walk_after_compact"] <= col["bytes_per_walk_after_churn"]
+    assert 0.0 < col["index_utilization_after_churn"] <= 1.0
+    assert (
+        col["bytes_per_walk_after_churn"]
+        <= 1.5 * col["bytes_per_walk_after_compact"]
+    )
     print()
     print(_render(report))

@@ -5,25 +5,31 @@ memory on CPython object headers: every stored walk step is a boxed int
 inside a per-segment ``list``, and every visit-index entry is a dict slot.
 At the paper's scale (``nR/ε`` ≈ billions of stored steps) that overhead —
 not the algorithm — becomes the ceiling.  :class:`ColumnarWalkStore` keeps
-the same :class:`~repro.core.walks.WalkIndex` contract on flat numpy
-columns (DESIGN.md §6–§7):
+the same :class:`~repro.core.walks.WalkIndex` contract on three sets of
+packed rows (DESIGN.md §6–§7), all managed by one helper,
+:class:`_PackedRows`:
 
-* **Node arena** — one int64 array holding every segment's nodes
-  back-to-back.  Per-segment ``offset`` / ``length`` / ``capacity`` /
-  ``end_reason`` / ``parity`` columns describe the slots.  A segment that
-  outgrows its slot is relocated to the arena tail (with 25% slack so
-  repeated regrowth amortizes); the hole it leaves is reclaimed by
-  :meth:`compact`, and :meth:`memory_stats` reports utilization honestly.
-* **CSR visit index** — the inverted index ``node → (segment id, count)``
-  lives in two shared arrays with per-node ``offset`` / ``length`` /
-  ``capacity`` rows.  Rows are kept sorted by segment id (binary-search
-  updates), and a row that outgrows its capacity is relocated with doubled
-  capacity, so an edge arrival stays O(touched segments · log W).
-* **Vectorized bulk build** — :meth:`bulk_add_segments` /
-  :meth:`from_arrays` build the whole index with a handful of numpy passes
-  (one ``lexsort`` + run-length encoding) instead of per-visit dict
-  updates, which is what makes cold :meth:`IncrementalPageRank.initialize`
-  and the snapshot load fast.
+* **Node arena** — one int64 array holding every segment's nodes; the
+  row of segment ``i`` is ``(off, len, cap)[i]``, next to ``end_reason``
+  / ``parity`` columns.
+* **Visit index** — the row of node ``v`` is the sorted *multiset* of
+  int32 ids of the segments visiting ``v``, one entry per visit: ``X(v)``
+  is the row length, ``W(v)`` a per-node counter, and a (segment, count)
+  pair costs 4 bytes per visit instead of a 16-byte entry.
+* **Per-source rows** — the int32 ids of the segments starting at each
+  node, in insertion order.
+
+A row that outgrows its slot is relocated to the tail with slack
+proportional to its length; when the tail is exhausted the helper squeezes
+the abandoned slots out in place if they are a fixed share of the array
+and otherwise grows the array by an eighth.  Resident bytes therefore stay
+within a constant of the live payload after every mutation
+(``memory_bytes() <= 1.75 * live + 64 KiB``, DESIGN.md §7).
+
+Cold builds (:meth:`bulk_add_segments` / :meth:`from_arrays`) lay all three
+row sets out with a handful of numpy passes (one stable sort) instead of
+per-visit updates, which is what makes cold
+:meth:`IncrementalPageRank.initialize` and the snapshot load fast.
 
 Bit-identical behavior: the store implements the :class:`WalkIndex`
 determinism contract (ascending ``segment_ids_visiting``, insertion-order
@@ -34,7 +40,6 @@ RNG stream as one built on the object store — the differential tests in
 
 from __future__ import annotations
 
-import sys
 from itertools import chain
 from typing import Iterator, Sequence, Union
 
@@ -56,15 +61,215 @@ BACKEND_OBJECT = "object"
 #: Valid end-reason codes (shared with :mod:`repro.core.walks`).
 _REASONS = (END_RESET, END_DANGLING)
 
-#: Estimated bytes of one CPython small-int object (memory accounting).
-_INT_BYTES = 28
+#: Width of a stored segment id (visit index and per-source rows) and of a
+#: row's ``len`` / ``cap``.  A value that does not fit raises
+#: :class:`WalkStateError` before anything is written — it never wraps.
+_ID_DTYPE = np.int32
+_LEN_DTYPE = np.int32
 
 
-def _grown(array: np.ndarray, capacity: int) -> np.ndarray:
-    """Return ``array`` zero-extended to ``capacity`` entries."""
-    out = np.zeros(capacity, dtype=array.dtype)
-    out[: array.size] = array
+def _grown(array: np.ndarray, needed: int) -> np.ndarray:
+    """``array`` zero-extended along its last axis to hold ``needed``
+    entries: exactly, or a quarter beyond its old size if that is more
+    (returned as-is when it already does)."""
+    held = array.shape[-1]
+    if needed <= held:
+        return array
+    capacity = max(needed, held + (held >> 2), 16)
+    out = np.zeros(array.shape[:-1] + (capacity,), dtype=array.dtype)
+    out[..., :held] = array
     return out
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``arange(s, s + l)`` for every ``(s, l)`` pair, concatenated."""
+    lengths = lengths.astype(np.int64, copy=False)
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(
+        total, dtype=np.int64
+    )
+
+
+class _PackedRows:
+    """``(off, len, cap)`` rows in one flat array: the store's growth policy.
+
+    Row ``i`` owns ``data[off[i] : off[i] + cap[i]]`` and its first
+    ``len[i]`` entries are live.  ``used`` is the tail of the allocated
+    region; slots below it that no row owns are holes left by relocations.
+    The constants below (and the 1.75x of :meth:`settle`) are the whole
+    policy (DESIGN.md §7): constants, not options, because together they
+    guarantee the store's byte bound and nothing else depends on them.
+    """
+
+    #: a relocated or squeezed row of ``n`` entries gets ``n >> 2`` spare
+    _SLACK_SHIFT = 2
+    #: squeeze once dead slots exceed ``used >> 3``; otherwise grow
+    _DEAD_SHIFT = 3
+    #: the array grows to ``needed + (needed >> 6)`` slots
+    _ROOM_SHIFT = 6
+    #: smallest array kept, so tiny stores do not reallocate per write
+    _MIN_SLOTS = 1024
+
+    def __init__(self, dtype) -> None:
+        self.data = np.empty(self._MIN_SLOTS, dtype=dtype)
+        self.off = np.zeros(0, dtype=np.int64)
+        self.len = np.zeros(0, dtype=_LEN_DTYPE)
+        self.cap = np.zeros(0, dtype=_LEN_DTYPE)
+        self.used = 0
+        self._widest = int(np.iinfo(_LEN_DTYPE).max)
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.off.nbytes + self.len.nbytes + self.cap.nbytes
+
+    def row(self, index: int) -> np.ndarray:
+        """Live entries of one row (a view; valid until the next write)."""
+        offset = int(self.off[index])
+        return self.data[offset : offset + int(self.len[index])]
+
+    def reserve_rows(self, count: int) -> None:
+        """Make rows ``0 .. count - 1`` addressable (new rows are empty)."""
+        self.off = _grown(self.off, count)
+        self.len = _grown(self.len, count)
+        self.cap = _grown(self.cap, count)
+
+    # -- the policy ----------------------------------------------------
+
+    def _slot(self, entries: np.ndarray, slack: bool = True) -> np.ndarray:
+        """Slot sizes for rows of ``entries`` live entries: the entries plus
+        proportional slack, within the column width."""
+        if entries.size and int(entries.max()) > self._widest:
+            raise WalkStateError(
+                f"a row of {int(entries.max())} entries exceeds the "
+                f"{self.cap.dtype} row width"
+            )
+        if not slack:
+            return entries
+        return np.minimum(entries + (entries >> self._SLACK_SHIFT), self._widest)
+
+    def _claim(self, extra: int) -> int:
+        """Claim ``extra`` slots at the tail; returns their offset.
+
+        May squeeze, so row offsets read before the call are stale.
+        """
+        needed = self.used + extra
+        if needed > self.data.size:
+            dead = self.used - int(self._slot(self.len.astype(np.int64)).sum())
+            if dead > self.used >> self._DEAD_SHIFT:
+                self.squeeze()
+                needed = self.used + extra
+            if needed > self.data.size:
+                grown = np.empty(
+                    max(needed + (needed >> self._ROOM_SHIFT), self._MIN_SLOTS),
+                    dtype=self.data.dtype,
+                )
+                grown[: self.used] = self.data[: self.used]
+                self.data = grown
+        offset = self.used
+        self.used = needed
+        return offset
+
+    def _place(self, lengths: np.ndarray, slack: bool) -> np.ndarray:
+        """Lay rows of ``lengths`` entries out back-to-back from slot 0;
+        returns their offsets."""
+        capacities = self._slot(lengths, slack)
+        count = lengths.size
+        self.reserve_rows(count)
+        offsets = np.cumsum(capacities) - capacities
+        self.off[:count] = offsets
+        self.len[:count] = lengths
+        self.cap[:count] = capacities
+        self.used = int(capacities.sum())
+        return offsets
+
+    def install(
+        self, lengths: np.ndarray, values: np.ndarray, *, slack: bool
+    ) -> None:
+        """Cold build into an empty helper: row ``i`` holds the next
+        ``lengths[i]`` of ``values``.  Without ``slack`` that layout is
+        ``values`` itself, which becomes the array (no copy)."""
+        offsets = self._place(lengths, slack)
+        if slack:
+            self.data = np.empty(self.used, dtype=self.data.dtype)
+            self.data[_ranges(offsets, lengths)] = values
+        else:
+            self.data = values
+
+    def squeeze(self, *, slack: bool = True, shrink: bool = False) -> None:
+        """Drop every hole with one gather, in place; rows keep (``slack``)
+        or lose their spare slots, and ``shrink`` reallocates to fit."""
+        lengths = self.len.astype(np.int64)
+        live = self.data[_ranges(self.off, lengths)]
+        offsets = self._place(lengths, slack)
+        if shrink or self.used > self.data.size:
+            self.data = np.empty(self.used, dtype=self.data.dtype)
+        self.data[_ranges(offsets, lengths)] = live
+
+    def settle(self, live: int) -> None:
+        """Give memory back when the array exceeds 1.75x its ``live``
+        entries — what rewrites that shorten rows, and relocations of one
+        dominant row, can leave behind between two tail claims."""
+        if self.data.size > live + (live >> 1) + (live >> 2) + self._MIN_SLOTS:
+            self.squeeze(shrink=True)
+
+    def resize_row(self, index: int, kept: int, length: int) -> int:
+        """Row ``index`` becomes ``length`` entries long, its first ``kept``
+        preserved (the rest is the caller's to write), relocating it when
+        its slot is too small; returns the row's offset."""
+        offset = int(self.off[index])
+        if length > self.cap[index]:
+            # _slot() for one row, in plain ints (this is the hot path)
+            capacity = min(length + (length >> self._SLACK_SHIFT), self._widest)
+            if length > capacity:
+                raise WalkStateError(
+                    f"a row of {length} entries exceeds the "
+                    f"{self.cap.dtype} row width"
+                )
+            moved = self._claim(capacity)
+            offset = int(self.off[index])  # read late: a squeeze moves rows
+            self.data[moved : moved + kept] = self.data[offset : offset + kept]
+            self.off[index] = offset = moved
+            self.cap[index] = capacity
+        self.len[index] = length
+        return offset
+
+    def resize_rows(
+        self, indices: np.ndarray, kept: np.ndarray, lengths: np.ndarray
+    ) -> None:
+        """:meth:`resize_row` for many distinct rows at once."""
+        over = lengths > self.cap[indices]
+        # before the claim: a squeeze re-trims every slot to its row's len
+        self.len[indices[~over]] = lengths[~over]
+        if not over.any():
+            return
+        indices, kept = indices[over], kept[over]
+        capacities = self._slot(lengths[over])
+        base = self._claim(int(capacities.sum()))
+        offsets = base + np.cumsum(capacities) - capacities
+        self.data[_ranges(offsets, kept)] = self.data[
+            _ranges(self.off[indices], kept)
+        ]
+        self.off[indices] = offsets
+        self.cap[indices] = capacities
+        self.len[indices] = lengths[over]
+
+    def check(self, what: str) -> None:
+        """Structural invariants: rows fit their slots, slots are disjoint
+        and lie inside the allocated region."""
+        if np.any(self.len > self.cap):
+            raise WalkStateError(f"{what}: a row overflows its slot")
+        owned = np.flatnonzero(self.cap)
+        starts = self.off[owned]
+        order = np.argsort(starts, kind="stable")
+        starts = starts[order]
+        ends = starts + self.cap[owned][order]
+        if starts.size and (int(starts[0]) < 0 or int(ends[-1]) > self.used):
+            raise WalkStateError(f"{what}: a row lies outside the used region")
+        if np.any(ends[:-1] > starts[1:]):
+            raise WalkStateError(f"{what}: two rows share slots")
+        if self.used > self.data.size:
+            raise WalkStateError(f"{what}: used region exceeds the array")
 
 
 def _normalize_bulk_args(
@@ -115,29 +320,17 @@ class ColumnarWalkStore:
         #: True for stores attached over a shared (mmap'd) arena — every
         #: mutator raises WalkStateError; see :meth:`from_shared`.
         self._readonly = False
-        # -- node arena (segment payloads) -----------------------------
-        self._arena = np.empty(1024, dtype=np.int64)
-        self._arena_used = 0
-        # -- per-segment columns ---------------------------------------
-        self._seg_off = np.zeros(64, dtype=np.int64)
-        self._seg_len = np.zeros(64, dtype=np.int64)
-        self._seg_cap = np.zeros(64, dtype=np.int64)
-        self._seg_reason = np.zeros(64, dtype=np.int8)
-        self._seg_parity = np.zeros(64, dtype=np.int8)
+        # -- per-segment: node arena rows + two columns ------------------
+        self._segs = _PackedRows(np.int64)
+        self._seg_reason = np.zeros(0, dtype=np.int8)
+        self._seg_parity = np.zeros(0, dtype=np.int8)
         self._num_segments = 0
-        # -- per-node columns ------------------------------------------
-        self._num_nodes = 0
-        self._node_cap = 0
-        self._visit_count = np.zeros(0, dtype=np.int64)
+        # -- per-node: visit-index rows, per-source rows, counters -------
+        self._visits = _PackedRows(_ID_DTYPE)
+        self._owned = _PackedRows(_ID_DTYPE)
+        self._walk_count = np.zeros(0, dtype=_LEN_DTYPE)
         self._side_count = np.zeros((2, 0), dtype=np.int64)
-        self._vi_off = np.zeros(0, dtype=np.int64)
-        self._vi_len = np.zeros(0, dtype=np.int64)
-        self._vi_cap = np.zeros(0, dtype=np.int64)
-        self._segments_of: list[list[int]] = []
-        # -- CSR visit-index arena -------------------------------------
-        self._vi_seg = np.empty(1024, dtype=np.int64)
-        self._vi_cnt = np.empty(1024, dtype=np.int64)
-        self._vi_used = 0
+        self._num_nodes = 0
         if num_nodes:
             self.ensure_node(num_nodes - 1)
 
@@ -169,113 +362,72 @@ class ColumnarWalkStore:
         if node < self._num_nodes:
             return
         new_count = node + 1
-        if new_count > self._node_cap:
-            capacity = max(new_count, 2 * self._node_cap, 16)
-            self._visit_count = _grown(self._visit_count, capacity)
-            self._vi_off = _grown(self._vi_off, capacity)
-            self._vi_len = _grown(self._vi_len, capacity)
-            self._vi_cap = _grown(self._vi_cap, capacity)
+        if new_count > self._walk_count.size:
+            self._visits.reserve_rows(new_count)
+            self._owned.reserve_rows(new_count)
+            self._walk_count = _grown(self._walk_count, new_count)
             if self.track_sides:
-                sides = np.zeros((2, capacity), dtype=np.int64)
-                sides[:, : self._side_count.shape[1]] = self._side_count
-                self._side_count = sides
-            self._node_cap = capacity
-        self._segments_of.extend([] for _ in range(new_count - self._num_nodes))
+                self._side_count = _grown(self._side_count, new_count)
         self._num_nodes = new_count
 
-    def _reserve_arena(self, extra: int) -> int:
-        """Claim ``extra`` slots at the arena tail; returns their offset."""
-        needed = self._arena_used + extra
-        if needed > self._arena.size:
-            replacement = np.empty(max(needed, 2 * self._arena.size), dtype=np.int64)
-            replacement[: self._arena_used] = self._arena[: self._arena_used]
-            self._arena = replacement
-        offset = self._arena_used
-        self._arena_used = needed
-        return offset
+    def _reserve_segments(self, count: int) -> None:
+        """Make segment ids ``0 .. count - 1`` addressable."""
+        id_dtype = self._visits.data.dtype
+        if count - 1 > np.iinfo(id_dtype).max:
+            raise WalkStateError(
+                f"{count} segments exceed the {id_dtype} segment-id width"
+            )
+        if count > self._seg_reason.size:
+            self._segs.reserve_rows(count)
+            self._seg_reason = _grown(self._seg_reason, count)
+            self._seg_parity = _grown(self._seg_parity, count)
 
-    def _reserve_vi(self, extra: int) -> int:
-        """Claim ``extra`` visit-index slots; returns their offset."""
-        needed = self._vi_used + extra
-        if needed > self._vi_seg.size:
-            capacity = max(needed, 2 * self._vi_seg.size)
-            for name in ("_vi_seg", "_vi_cnt"):
-                old = getattr(self, name)
-                replacement = np.empty(capacity, dtype=np.int64)
-                replacement[: self._vi_used] = old[: self._vi_used]
-                setattr(self, name, replacement)
-        offset = self._vi_used
-        self._vi_used = needed
-        return offset
+    def _settle(self) -> None:
+        """Hand memory back after a mutation (DESIGN.md §7 byte bound)."""
+        self._segs.settle(self.total_visits)
+        self._visits.settle(self.total_visits)
+        self._owned.settle(self._num_segments)
 
     # ------------------------------------------------------------------
     # Visit-index row maintenance
     # ------------------------------------------------------------------
 
-    def _row(self, node: int) -> tuple[np.ndarray, np.ndarray]:
-        offset = int(self._vi_off[node])
-        length = int(self._vi_len[node])
-        return (
-            self._vi_seg[offset : offset + length],
-            self._vi_cnt[offset : offset + length],
-        )
-
     def _row_adjust(self, node: int, segment_id: int, delta: int) -> None:
-        """Apply ``delta`` to one (node, segment) index entry.
-
-        Rows stay sorted by segment id; inserts shift right (relocating to
-        a doubled slot at the index-arena tail when full), zeroed entries
-        shift left.
-        """
-        offset = int(self._vi_off[node])
-        length = int(self._vi_len[node])
-        row = self._vi_seg[offset : offset + length]
-        idx = int(row.searchsorted(segment_id))
-        if idx < length and row[idx] == segment_id:
-            position = offset + idx
-            updated = int(self._vi_cnt[position]) + delta
-            if updated < 0:
+        """Insert (``delta > 0``) or drop (``delta < 0``) that many copies
+        of ``segment_id`` in ``node``'s row, keeping it sorted."""
+        rows = self._visits
+        offset = int(rows.off[node])
+        length = int(rows.len[node])
+        data = rows.data
+        # a key of the row's own width: anything wider makes searchsorted
+        # cast (copy) the whole row first
+        idx = int(
+            data[offset : offset + length].searchsorted(data.dtype.type(segment_id))
+        )
+        if delta > 0:
+            fresh = idx == length or data[offset + idx] != segment_id
+            offset = rows.resize_row(node, length, length + delta)
+            data = rows.data  # the resize may have reallocated
+            end = offset + length
+            data[offset + idx + delta : end + delta] = data[
+                offset + idx : end
+            ].copy()
+            data[offset + idx : offset + idx + delta] = segment_id
+            if fresh:
+                self._walk_count[node] += 1
+        else:
+            after = idx - delta  # first entry past the dropped copies
+            if after > length or data[offset + idx] != segment_id or (
+                data[offset + after - 1] != segment_id
+            ):
                 raise WalkStateError(
                     f"visit index underflow at node {node}, segment {segment_id}"
                 )
-            if updated:
-                self._vi_cnt[position] = updated
-            else:
-                end = offset + length
-                self._vi_seg[position : end - 1] = self._vi_seg[
-                    position + 1 : end
-                ].copy()
-                self._vi_cnt[position : end - 1] = self._vi_cnt[
-                    position + 1 : end
-                ].copy()
-                self._vi_len[node] = length - 1
-            return
-        if delta < 0:
-            raise WalkStateError(
-                f"removing absent visit entry (node {node}, segment {segment_id})"
-            )
-        if length == int(self._vi_cap[node]):
-            capacity = max(4, 2 * length)
-            relocated = self._reserve_vi(capacity)
-            self._vi_seg[relocated : relocated + length] = self._vi_seg[
-                offset : offset + length
-            ]
-            self._vi_cnt[relocated : relocated + length] = self._vi_cnt[
-                offset : offset + length
-            ]
-            self._vi_off[node] = relocated
-            self._vi_cap[node] = capacity
-            offset = relocated
-        end = offset + length
-        self._vi_seg[offset + idx + 1 : end + 1] = self._vi_seg[
-            offset + idx : end
-        ].copy()
-        self._vi_cnt[offset + idx + 1 : end + 1] = self._vi_cnt[
-            offset + idx : end
-        ].copy()
-        self._vi_seg[offset + idx] = segment_id
-        self._vi_cnt[offset + idx] = delta
-        self._vi_len[node] = length + 1
+            if after == length or data[offset + after] != segment_id:
+                self._walk_count[node] -= 1
+            end = offset + length
+            data[offset + idx : end + delta] = data[offset + after : end].copy()
+            rows.len[node] = length + delta
 
     def _index_block(
         self,
@@ -288,8 +440,8 @@ class ColumnarWalkStore:
         """Add (+1) or remove (−1) index entries for a run of positions.
 
         ``nodes`` occupies positions ``first_position ..`` of the segment
-        (needed for side parity).  One :func:`np.unique` collapses the run
-        into per-node deltas, so each touched node pays one row update.
+        (needed for side parity).  Visits are collapsed into per-node
+        counts first, so each touched node pays one row update.
         """
         if nodes.size == 0:
             return
@@ -299,15 +451,12 @@ class ColumnarWalkStore:
             counted: dict[int, int] = {}
             for node in nodes.tolist():
                 counted[node] = counted.get(node, 0) + 1
-            visit_count = self._visit_count
             for node, count in counted.items():
                 self._row_adjust(node, segment_id, sign * count)
-                visit_count[node] += sign * count
         else:
             unique, counts = np.unique(nodes, return_counts=True)
             for node, count in zip(unique.tolist(), counts.tolist()):
                 self._row_adjust(node, segment_id, sign * count)
-            self._visit_count[unique] += sign * counts
         self.total_visits += sign * int(nodes.size)
         if self.track_sides:
             sides = (
@@ -327,36 +476,34 @@ class ColumnarWalkStore:
         if not 0 <= segment_id < self._num_segments:
             raise WalkStateError(f"unknown segment id {segment_id}")
 
-    def _alloc_segment(self, length: int, reason: int, parity: int) -> int:
-        if self._num_segments == self._seg_off.size:
-            capacity = 2 * self._seg_off.size
-            self._seg_off = _grown(self._seg_off, capacity)
-            self._seg_len = _grown(self._seg_len, capacity)
-            self._seg_cap = _grown(self._seg_cap, capacity)
-            self._seg_reason = _grown(self._seg_reason, capacity)
-            self._seg_parity = _grown(self._seg_parity, capacity)
-        segment_id = self._num_segments
-        offset = self._reserve_arena(length)
-        self._seg_off[segment_id] = offset
-        self._seg_len[segment_id] = length
-        self._seg_cap[segment_id] = length
-        self._seg_reason[segment_id] = reason
-        self._seg_parity[segment_id] = parity
-        self._num_segments += 1
-        return segment_id
+    def _store_tail(
+        self, segment_id: int, keep: int, tail: np.ndarray, end_reason: int
+    ) -> None:
+        """Arena write: the segment becomes its first ``keep`` nodes +
+        ``tail`` (no validation, no index maintenance)."""
+        segs = self._segs
+        new_length = keep + int(tail.size)
+        offset = segs.resize_row(segment_id, keep, new_length)
+        segs.data[offset + keep : offset + new_length] = tail
+        self._seg_reason[segment_id] = end_reason
 
     def add_segment(self, segment: WalkSegment) -> int:
         """Register a fresh segment; returns its id."""
         self._check_writable()
         nodes = np.asarray(segment.nodes, dtype=np.int64)
         self.ensure_node(int(nodes.max()))
-        segment_id = self._alloc_segment(
-            nodes.size, segment.end_reason, segment.parity_offset
-        )
-        offset = int(self._seg_off[segment_id])
-        self._arena[offset : offset + nodes.size] = nodes
-        self._segments_of[int(nodes[0])].append(segment_id)
+        segment_id = self._num_segments
+        self._reserve_segments(segment_id + 1)
+        self._store_tail(segment_id, 0, nodes, segment.end_reason)
+        self._seg_parity[segment_id] = segment.parity_offset
+        self._num_segments = segment_id + 1
+        owned = self._owned
+        source = int(nodes[0])
+        held = int(owned.len[source])
+        offset = owned.resize_row(source, held, held + 1)
+        owned.data[offset + held] = segment_id
         self._index_block(segment_id, nodes, 0, segment.parity_offset, +1)
+        self._settle()
         return segment_id
 
     def bulk_add_segments(
@@ -385,7 +532,7 @@ class ColumnarWalkStore:
                 )
             return
         flat, lengths = _flatten_block(segments, count)
-        self._append_block(flat, lengths, reasons, parities)
+        self._append_block(flat, lengths, reasons, parities, adopt=True)
 
     def _append_block(
         self,
@@ -400,8 +547,7 @@ class ColumnarWalkStore:
 
         With ``adopt=True`` the ``flat`` array itself *becomes* the arena
         (zero-copy — this is how :meth:`from_shared` maps an mmap'd
-        snapshot straight in); otherwise its contents are copied to the
-        store-owned arena tail.
+        snapshot straight in); otherwise the arena is a private copy.
         """
         if self._num_segments or self.total_visits:
             raise WalkStateError("bulk install requires an empty store")
@@ -418,89 +564,51 @@ class ColumnarWalkStore:
         if int(flat.min()) < 0:
             raise WalkStateError("corrupt block: negative node id")
         self.ensure_node(int(flat.max()))
-        offsets = np.cumsum(lengths) - lengths
-        # -- arena + segment columns -----------------------------------
-        if adopt:
-            self._arena = flat
-            self._arena_used = total
-            base = 0
-        else:
-            base = self._reserve_arena(total)
-            self._arena[base : base + total] = flat
-        if count > self._seg_off.size:
-            for name in ("_seg_off", "_seg_len", "_seg_cap"):
-                setattr(self, name, _grown(getattr(self, name), count))
-            for name in ("_seg_reason", "_seg_parity"):
-                setattr(self, name, _grown(getattr(self, name), count))
-        self._seg_off[:count] = offsets + base
-        self._seg_len[:count] = lengths
-        self._seg_cap[:count] = lengths
+        self._reserve_segments(count)
+        # -- arena rows (tight: the layout is ``flat`` itself) + columns --
+        self._segs.install(lengths, flat if adopt else flat.copy(), slack=False)
         self._seg_reason[:count] = reasons
         self._seg_parity[:count] = parities
         self._num_segments = count
-        # -- segments_of: ids grouped by source, ascending -------------
-        start_nodes = flat[offsets]
-        order = np.argsort(start_nodes, kind="stable")
-        per_node = np.bincount(start_nodes, minlength=self._num_nodes)
-        chunks = np.split(
-            np.arange(count, dtype=np.int64)[order], np.cumsum(per_node)[:-1]
+        # -- per-source rows: ids grouped by source, ascending ----------
+        starts = flat[self._segs.off[:count]]
+        self._owned.install(
+            np.bincount(starts, minlength=self._num_nodes),
+            np.argsort(starts, kind="stable").astype(_ID_DTYPE),
+            slack=False,
         )
-        self._segments_of = [chunk.tolist() for chunk in chunks]
-        # -- CSR visit index + counters --------------------------------
-        self._install_index(flat, lengths, offsets, parities)
+        # -- visit index + counters -------------------------------------
+        self._install_index(flat, lengths, parities)
 
     def _install_index(
-        self,
-        flat: np.ndarray,
-        lengths: np.ndarray,
-        offsets: np.ndarray,
-        parities: np.ndarray,
+        self, flat: np.ndarray, lengths: np.ndarray, parities: np.ndarray
     ) -> None:
-        """(Re)build the whole CSR visit index and counters, vectorized.
+        """(Re)build the whole visit index and counters, vectorized.
 
         ``flat`` is every live segment's nodes back-to-back in id order
-        (``offsets``/``lengths`` delimiting them).  One ``lexsort`` plus a
-        run-length encode produces all (node, segment, count) entries with
-        rows sorted by segment id — exactly the state incremental row
-        maintenance preserves.  Callers must have zeroed/reset the index
-        state (``_vi_used``, counters) first.
+        (``lengths`` delimiting them), so one stable sort by node leaves
+        every row ascending by segment id — exactly the state incremental
+        row maintenance preserves.  Rows get relocation slack, so the
+        first updates after a cold build edit them in place.
         """
         count = int(lengths.size)
         total = int(flat.size)
-        if count == 0 or total == 0:
-            return
-        segment_ids = np.repeat(np.arange(count, dtype=np.int64), lengths)
-        order = np.lexsort((segment_ids, flat))
-        sorted_nodes = flat[order]
-        sorted_segments = segment_ids[order]
-        change = np.empty(total, dtype=bool)
-        change[0] = True
-        change[1:] = (sorted_nodes[1:] != sorted_nodes[:-1]) | (
-            sorted_segments[1:] != sorted_segments[:-1]
+        segment_ids = np.repeat(np.arange(count, dtype=_ID_DTYPE), lengths)
+        order = np.argsort(flat, kind="stable")
+        nodes = flat[order]
+        entries = segment_ids[order]
+        self._visits.install(
+            np.bincount(flat, minlength=self._num_nodes), entries, slack=True
         )
-        entry_starts = np.flatnonzero(change)
-        entries = int(entry_starts.size)
-        vi_base = self._reserve_vi(entries)
-        self._vi_seg[vi_base : vi_base + entries] = sorted_segments[entry_starts]
-        self._vi_cnt[vi_base : vi_base + entries] = np.diff(
-            np.append(entry_starts, total)
-        )
-        row_lengths = np.bincount(
-            sorted_nodes[entry_starts], minlength=self._num_nodes
-        )
-        self._vi_len[: self._num_nodes] = row_lengths
-        self._vi_cap[: self._num_nodes] = row_lengths
-        self._vi_off[: self._num_nodes] = (
-            np.cumsum(row_lengths) - row_lengths + vi_base
-        )
-        # -- counters ---------------------------------------------------
-        self._visit_count[: self._num_nodes] = np.bincount(
-            flat, minlength=self._num_nodes
+        fresh = np.ones(total, dtype=bool)  # first visit of a (node, segment)
+        fresh[1:] = (nodes[1:] != nodes[:-1]) | (entries[1:] != entries[:-1])
+        self._walk_count[: self._num_nodes] = np.bincount(
+            nodes[fresh], minlength=self._num_nodes
         )
         self.total_visits = total
         if self.track_sides:
             positions = np.arange(total, dtype=np.int64) - np.repeat(
-                offsets, lengths
+                np.cumsum(lengths) - lengths, lengths
             )
             sides = (positions + np.repeat(parities.astype(np.int64), lengths)) & 1
             for side in (0, 1):
@@ -510,24 +618,8 @@ class ColumnarWalkStore:
 
     def _rebuild_index(self) -> None:
         """Recompute the visit index from the arena (one vectorized pass)."""
-        count = self._num_segments
-        lengths = self._seg_len[:count]
-        total = int(lengths.sum())
-        compact_offsets = np.cumsum(lengths) - lengths
-        gather = np.repeat(
-            self._seg_off[:count] - compact_offsets, lengths
-        ) + np.arange(total, dtype=np.int64)
-        flat = self._arena[gather]
-        self._vi_used = 0
-        self._vi_len[: self._num_nodes] = 0
-        self._vi_cap[: self._num_nodes] = 0
-        self._visit_count[: self._num_nodes] = 0
-        if self.track_sides:
-            self._side_count[:, : self._num_nodes] = 0
-        self.total_visits = 0
-        self._install_index(
-            flat, lengths, compact_offsets, self._seg_parity[:count]
-        )
+        flat, lengths, _, parities = self.to_arrays()
+        self._install_index(flat, lengths, parities)
 
     @classmethod
     def from_arrays(
@@ -571,9 +663,9 @@ class ColumnarWalkStore:
         Unlike :meth:`from_arrays`, the flat node arena is adopted without
         a copy — pass an ``np.load(..., mmap_mode="r")`` view of a shared
         snapshot and N worker processes share one set of physical pages
-        through the OS page cache.  Only the derived structures (CSR visit
-        index, per-segment columns, ``segments_of``) are built privately,
-        which is a small fraction of the arena's footprint.
+        through the OS page cache.  Only the derived structures (visit
+        index, per-segment columns, per-source rows) are built privately,
+        which is a fraction of the arena's footprint.
 
         The attached store is write-protected: every mutator raises
         :class:`WalkStateError`.  Updates happen in the owning coordinator,
@@ -601,25 +693,19 @@ class ColumnarWalkStore:
         """Compacted ``(flat, lengths, end_reasons, parities)`` columns.
 
         The flat array holds live segment payloads back-to-back in id
-        order (holes from relocations are squeezed out); when the arena is
-        already compact this is a single slice copy.
+        order (holes and slack are squeezed out); when the arena is
+        already laid out that way this is a single slice copy.
         """
         count = self._num_segments
-        lengths = self._seg_len[:count].copy()
+        segs = self._segs
+        lengths = segs.len[:count].astype(np.int64)
         total = int(lengths.sum())
-        compact_offsets = np.cumsum(lengths) - lengths
-        if count == 0:
-            flat = np.zeros(0, dtype=np.int64)
-        elif (
-            self._arena_used == total
-            and np.array_equal(self._seg_off[:count], compact_offsets)
+        if segs.used == total and np.array_equal(
+            segs.off[:count], np.cumsum(lengths) - lengths
         ):
-            flat = self._arena[:total].copy()
+            flat = segs.data[:total].copy()
         else:
-            gather = np.repeat(
-                self._seg_off[:count] - compact_offsets, lengths
-            ) + np.arange(total, dtype=np.int64)
-            flat = self._arena[gather]
+            flat = segs.data[_ranges(segs.off[:count], lengths)]
         return (
             flat,
             lengths,
@@ -628,22 +714,18 @@ class ColumnarWalkStore:
         )
 
     def compact(self) -> None:
-        """Squeeze relocation holes out of both arenas (ids preserved)."""
+        """Squeeze holes and spare slots out (ids preserved): the layout
+        of a cold build — tight arena, index rows with their slack."""
         self._check_writable()
-        rebuilt = ColumnarWalkStore.from_arrays(
-            *self.to_arrays(),
-            num_nodes=self._num_nodes,
-            track_sides=self.track_sides,
-        )
-        self.__dict__.update(rebuilt.__dict__)
+        self._segs.squeeze(slack=False, shrink=True)
+        self._visits.squeeze(shrink=True)
+        self._owned.squeeze(slack=False, shrink=True)
 
     def get(self, segment_id: int) -> WalkSegment:
         """A *materialized copy* of the segment (mutations via the store)."""
         self._check_id(segment_id)
-        offset = int(self._seg_off[segment_id])
-        length = int(self._seg_len[segment_id])
         return WalkSegment(
-            self._arena[offset : offset + length].tolist(),
+            self._segs.row(segment_id).tolist(),
             int(self._seg_reason[segment_id]),
             parity_offset=int(self._seg_parity[segment_id]),
         )
@@ -659,44 +741,27 @@ class ColumnarWalkStore:
 
         Index and counters update incrementally (only the changed suffix
         is touched).  If the rewritten segment outgrows its arena slot it
-        is relocated to the tail with 25% slack.
+        is relocated to the tail with slack.
         """
         self._check_writable()
         self._check_id(segment_id)
         if end_reason not in _REASONS:
             raise WalkStateError(f"unknown end_reason {end_reason!r}")
-        old_length = int(self._seg_len[segment_id])
-        if not 0 <= keep_until < old_length:
+        old = self._segs.row(segment_id)
+        if not 0 <= keep_until < old.size:
             raise WalkStateError(
                 f"keep_until={keep_until} out of range for segment of length "
-                f"{old_length}"
+                f"{old.size}"
             )
-        offset = int(self._seg_off[segment_id])
         parity = int(self._seg_parity[segment_id])
         suffix = np.asarray(new_suffix, dtype=np.int64)
         if suffix.size:
             self.ensure_node(int(suffix.max()))
-        self._index_block(
-            segment_id,
-            self._arena[offset + keep_until + 1 : offset + old_length],
-            keep_until + 1,
-            parity,
-            -1,
-        )
-        new_length = keep_until + 1 + int(suffix.size)
-        if new_length > int(self._seg_cap[segment_id]):
-            capacity = new_length + (new_length >> 2) + 4
-            relocated = self._reserve_arena(capacity)
-            self._arena[relocated : relocated + keep_until + 1] = self._arena[
-                offset : offset + keep_until + 1
-            ]
-            self._seg_off[segment_id] = relocated
-            self._seg_cap[segment_id] = capacity
-            offset = relocated
-        self._arena[offset + keep_until + 1 : offset + new_length] = suffix
-        self._seg_len[segment_id] = new_length
-        self._seg_reason[segment_id] = end_reason
-        self._index_block(segment_id, suffix, keep_until + 1, parity, +1)
+        keep = keep_until + 1
+        self._index_block(segment_id, old[keep:], keep, parity, -1)
+        self._store_tail(segment_id, keep, suffix, end_reason)
+        self._index_block(segment_id, suffix, keep, parity, +1)
+        self._settle()
 
     def rebuild_segment(
         self, segment_id: int, nodes: list[int], end_reason: int
@@ -713,68 +778,39 @@ class ColumnarWalkStore:
             raise WalkStateError(f"unknown end_reason {end_reason!r}")
         replacement = np.asarray(nodes, dtype=np.int64)
         self.ensure_node(int(replacement.max()))
-        offset = int(self._seg_off[segment_id])
-        old_length = int(self._seg_len[segment_id])
         parity = int(self._seg_parity[segment_id])
-        self._index_block(
-            segment_id, self._arena[offset : offset + old_length], 0, parity, -1
-        )
-        if replacement.size > int(self._seg_cap[segment_id]):
-            capacity = int(replacement.size) + (int(replacement.size) >> 2) + 4
-            offset = self._reserve_arena(capacity)
-            self._seg_off[segment_id] = offset
-            self._seg_cap[segment_id] = capacity
-        self._arena[offset : offset + replacement.size] = replacement
-        self._seg_len[segment_id] = replacement.size
-        self._seg_reason[segment_id] = end_reason
+        self._index_block(segment_id, self._segs.row(segment_id), 0, parity, -1)
+        self._store_tail(segment_id, 0, replacement, end_reason)
         self._index_block(segment_id, replacement, 0, parity, +1)
+        self._settle()
 
     def _write_payload(
         self, segment_id: int, keep_until: int, nodes: Sequence[int], end_reason: int
     ) -> None:
         """Arena write of one update with *no* index maintenance.
 
-        Same validation and relocation rules as :meth:`replace_suffix` /
-        :meth:`rebuild_segment`; callers must follow up with
-        :meth:`_rebuild_index`.
+        Same validation as :meth:`replace_suffix` / :meth:`rebuild_segment`;
+        callers must follow up with :meth:`_rebuild_index`.
         """
-        self._check_writable()
         self._check_id(segment_id)
         if end_reason not in _REASONS:
             raise WalkStateError(f"unknown end_reason {end_reason!r}")
         suffix = np.asarray(nodes, dtype=np.int64)
-        offset = int(self._seg_off[segment_id])
-        old_length = int(self._seg_len[segment_id])
+        old = self._segs.row(segment_id)
         if keep_until < 0:
-            if suffix[0] != self._arena[offset]:
+            if suffix[0] != old[0]:
                 raise WalkStateError(
-                    f"rebuilt segment must keep source "
-                    f"{int(self._arena[offset])}, got {int(suffix[0])}"
+                    f"rebuilt segment must keep source {int(old[0])}, "
+                    f"got {int(suffix[0])}"
                 )
-            keep = 0
-        else:
-            if not 0 <= keep_until < old_length:
-                raise WalkStateError(
-                    f"keep_until={keep_until} out of range for segment of "
-                    f"length {old_length}"
-                )
-            keep = keep_until + 1
+        elif keep_until >= old.size:
+            raise WalkStateError(
+                f"keep_until={keep_until} out of range for segment of "
+                f"length {old.size}"
+            )
         if suffix.size:
             self.ensure_node(int(suffix.max()))
-        new_length = keep + int(suffix.size)
-        if new_length > int(self._seg_cap[segment_id]):
-            capacity = new_length + (new_length >> 2) + 4
-            relocated = self._reserve_arena(capacity)
-            if keep:
-                self._arena[relocated : relocated + keep] = self._arena[
-                    offset : offset + keep
-                ]
-            self._seg_off[segment_id] = relocated
-            self._seg_cap[segment_id] = capacity
-            offset = relocated
-        self._arena[offset + keep : offset + new_length] = suffix
-        self._seg_len[segment_id] = new_length
-        self._seg_reason[segment_id] = end_reason
+        self._store_tail(segment_id, max(keep_until + 1, 0), suffix, end_reason)
 
     def _write_payloads_bulk(self, updates) -> bool:
         """Vectorized arena write of a whole update batch (no index work).
@@ -788,8 +824,8 @@ class ColumnarWalkStore:
         sequential loop).  Callers must follow up with
         :meth:`_rebuild_index`.
         """
-        self._check_writable()
         count = len(updates)
+        segs = self._segs
         ids = np.fromiter((u[0] for u in updates), dtype=np.int64, count=count)
         if np.unique(ids).size != count:
             return False
@@ -808,7 +844,7 @@ class ColumnarWalkStore:
         flat_tails = np.fromiter(
             chain.from_iterable(u[2] for u in updates), dtype=np.int64, count=total
         )
-        old_lengths = self._seg_len[ids]
+        old_lengths = segs.len[ids]
         rebuild = keeps < 0
         if np.any(~rebuild & (keeps >= old_lengths)):
             which = int(np.flatnonzero(~rebuild & (keeps >= old_lengths))[0])
@@ -820,49 +856,21 @@ class ColumnarWalkStore:
             raise WalkStateError(
                 "a walk segment must contain at least its source"
             )
-        tail_offsets = np.cumsum(tail_lengths) - tail_lengths
         if np.any(rebuild):
             # sources must be preserved; read them before any arena write
-            sources = self._arena[self._seg_off[ids[rebuild]]]
-            heads = flat_tails[tail_offsets[rebuild]]
+            sources = segs.data[segs.off[ids[rebuild]]]
+            heads = flat_tails[(np.cumsum(tail_lengths) - tail_lengths)[rebuild]]
             if not np.array_equal(sources, heads):
                 which = int(np.flatnonzero(sources != heads)[0])
                 raise WalkStateError(
                     f"rebuilt segment must keep source {int(sources[which])}, "
                     f"got {int(heads[which])}"
                 )
-        if total and int(flat_tails.max()) >= self._num_nodes:
+        if total:
             self.ensure_node(int(flat_tails.max()))
         keep = np.where(rebuild, 0, keeps + 1)
-        new_lengths = keep + tail_lengths
-        relocate = new_lengths > self._seg_cap[ids]
-        if np.any(relocate):
-            reloc_ids = ids[relocate]
-            prefix_lengths = keep[relocate]
-            new_caps = new_lengths[relocate]
-            new_caps = new_caps + (new_caps >> 2) + 4
-            base = self._reserve_arena(int(new_caps.sum()))
-            new_offsets = base + np.cumsum(new_caps) - new_caps
-            total_prefix = int(prefix_lengths.sum())
-            if total_prefix:
-                run = np.cumsum(prefix_lengths) - prefix_lengths
-                steps = np.arange(total_prefix, dtype=np.int64)
-                source_index = (
-                    np.repeat(self._seg_off[reloc_ids] - run, prefix_lengths)
-                    + steps
-                )
-                dest_index = (
-                    np.repeat(new_offsets - run, prefix_lengths) + steps
-                )
-                self._arena[dest_index] = self._arena[source_index]
-            self._seg_off[reloc_ids] = new_offsets
-            self._seg_cap[reloc_ids] = new_caps
-        if total:
-            dest = np.repeat(
-                self._seg_off[ids] + keep - tail_offsets, tail_lengths
-            ) + np.arange(total, dtype=np.int64)
-            self._arena[dest] = flat_tails
-        self._seg_len[ids] = new_lengths
+        segs.resize_rows(ids, keep, keep + tail_lengths)
+        segs.data[_ranges(segs.off[ids] + keep, tail_lengths)] = flat_tails
         self._seg_reason[ids] = reasons
         return True
 
@@ -889,6 +897,7 @@ class ColumnarWalkStore:
                 for segment_id, keep_until, tail, end_reason in updates:
                     self._write_payload(segment_id, keep_until, tail, end_reason)
             self._rebuild_index()
+            self._settle()
             return
         for segment_id, keep_until, tail, end_reason in updates:
             if keep_until < 0:
@@ -902,26 +911,24 @@ class ColumnarWalkStore:
 
     def segment_length(self, segment_id: int) -> int:
         self._check_id(segment_id)
-        return int(self._seg_len[segment_id])
+        return int(self._segs.len[segment_id])
 
     def segment_view(self, segment_id: int) -> np.ndarray:
         """Read-only zero-copy view of the segment's nodes.
 
         Valid until the next store mutation (the arena may be reallocated
-        or the slot rewritten) — consume it immediately.
+        or squeezed, or the slot rewritten) — consume it immediately.
         """
         self._check_id(segment_id)
-        offset = int(self._seg_off[segment_id])
-        length = int(self._seg_len[segment_id])
-        view = self._arena[offset : offset + length]
+        segs = self._segs  # inlined row(): apply_batch calls this per scan
+        offset = int(segs.off[segment_id])
+        view = segs.data[offset : offset + int(segs.len[segment_id])]
         view.flags.writeable = False
         return view
 
     def segment_nodes(self, segment_id: int) -> list[int]:
         self._check_id(segment_id)
-        offset = int(self._seg_off[segment_id])
-        length = int(self._seg_len[segment_id])
-        return self._arena[offset : offset + length].tolist()
+        return self._segs.row(segment_id).tolist()
 
     def end_reason_of(self, segment_id: int) -> int:
         self._check_id(segment_id)
@@ -933,7 +940,7 @@ class ColumnarWalkStore:
 
     def source_of(self, segment_id: int) -> int:
         self._check_id(segment_id)
-        return int(self._arena[self._seg_off[segment_id]])
+        return int(self._segs.data[self._segs.off[segment_id]])
 
     # ------------------------------------------------------------------
     # Queries
@@ -943,20 +950,25 @@ class ColumnarWalkStore:
         """Mapping ``segment id -> visit count`` for segments visiting ``node``."""
         if node >= self._num_nodes:
             return {}
-        row_seg, row_cnt = self._row(node)
-        return dict(zip(row_seg.tolist(), row_cnt.tolist()))
+        ids, counts = np.unique(self._visits.row(node), return_counts=True)
+        return dict(zip(ids.tolist(), counts.tolist()))
 
     def segment_ids_visiting(self, node: int) -> list[int]:
         """Ids of segments visiting ``node``, ascending (normative order)."""
         if node >= self._num_nodes:
             return []
-        return self._row(node)[0].tolist()
+        row = self._visits.row(node)
+        if row.size == int(self._walk_count[node]):
+            return row.tolist()  # no segment visits twice
+        first = np.ones(row.size, dtype=bool)
+        np.not_equal(row[1:], row[:-1], out=first[1:])
+        return row[first].tolist()
 
     def segments_starting_at(self, node: int) -> list[int]:
         """Ids of segments whose source is ``node``, in insertion order."""
         if node >= self._num_nodes:
             return []
-        return list(self._segments_of[node])
+        return self._owned.row(node).tolist()
 
     def segment_views_starting_at(self, node: int) -> list[np.ndarray]:
         """Zero-copy node views of ``node``'s segments, in insertion order.
@@ -967,14 +979,18 @@ class ColumnarWalkStore:
         """
         if node >= self._num_nodes:
             return []
-        segment_ids = self._segments_of[node]
-        if not segment_ids:
+        # intp, not the stored width: numpy drops the GIL on every
+        # fancy index that needs a cast, and the batcher's chunk threads
+        # then interleave inside node loads (duplicate physical fetches)
+        segment_ids = self._owned.row(node).astype(np.intp)
+        if not segment_ids.size:
             return []
+        segs = self._segs
         # one read-only alias; its slices inherit non-writeability
-        arena = self._arena[:]
+        arena = segs.data[:]
         arena.flags.writeable = False
-        offsets = self._seg_off[segment_ids]
-        ends = (offsets + self._seg_len[segment_ids]).tolist()
+        offsets = segs.off[segment_ids]
+        ends = (offsets + segs.len[segment_ids]).tolist()
         return [
             arena[offset:end]
             for offset, end in zip(offsets.tolist(), ends)
@@ -984,13 +1000,13 @@ class ColumnarWalkStore:
         """``X(v)``: total visits to ``node`` across all segments."""
         if node >= self._num_nodes:
             return 0
-        return int(self._visit_count[node])
+        return int(self._visits.len[node])
 
     def distinct_segment_count(self, node: int) -> int:
         """``W(v)``: number of distinct segments visiting ``node``."""
         if node >= self._num_nodes:
             return 0
-        return int(self._vi_len[node])
+        return int(self._walk_count[node])
 
     def side_visit_count(self, node: int, side: int) -> int:
         """Visits to ``node`` on ``side`` (0 = hub, 1 = authority)."""
@@ -1001,7 +1017,7 @@ class ColumnarWalkStore:
         return int(self._side_count[side][node])
 
     def visit_count_array(self) -> np.ndarray:
-        return self._visit_count[: self._num_nodes].copy()
+        return self._visits.len[: self._num_nodes].astype(np.int64)
 
     def side_visit_count_array(self, side: int) -> np.ndarray:
         if not self.track_sides:
@@ -1017,52 +1033,38 @@ class ColumnarWalkStore:
     # ------------------------------------------------------------------
 
     def memory_bytes(self) -> int:
-        """Resident bytes: exact for the numpy columns, estimated for the
-        small per-node ``segments_of`` lists."""
-        total = (
-            self._arena.nbytes
-            + self._vi_seg.nbytes
-            + self._vi_cnt.nbytes
-            + self._seg_off.nbytes
-            + self._seg_len.nbytes
-            + self._seg_cap.nbytes
+        """Resident bytes: every array the store owns (or, for a shared
+        attach, maps), at its allocated size."""
+        return (
+            self._segs.nbytes
+            + self._visits.nbytes
+            + self._owned.nbytes
             + self._seg_reason.nbytes
             + self._seg_parity.nbytes
-            + self._visit_count.nbytes
-            + self._vi_off.nbytes
-            + self._vi_len.nbytes
-            + self._vi_cap.nbytes
+            + self._walk_count.nbytes
             + self._side_count.nbytes
         )
-        total += sys.getsizeof(self._segments_of)
-        for owned in self._segments_of:
-            total += sys.getsizeof(owned) + _INT_BYTES * len(owned)
-        return total
 
     def memory_stats(self) -> dict:
         """Footprint breakdown including arena/index utilization."""
-        live = int(self._seg_len[: self._num_segments].sum())
-        index_live = int(self._vi_len[: self._num_nodes].sum())
+        segs, visits = self._segs, self._visits
+        live = self.total_visits  # one arena node and one index entry per visit
         return {
             "bytes": self.memory_bytes(),
-            "arena_capacity": int(self._arena.size),
-            "arena_used": int(self._arena_used),
+            "arena_capacity": int(segs.data.size),
+            "arena_used": int(segs.used),
             "arena_live": live,
-            "arena_utilization": live / self._arena_used if self._arena_used else 1.0,
-            "index_capacity": int(self._vi_seg.size),
-            "index_used": int(self._vi_used),
-            "index_live": index_live,
-            "index_utilization": (
-                index_live / self._vi_used if self._vi_used else 1.0
-            ),
+            "arena_utilization": live / segs.used if segs.used else 1.0,
+            "index_capacity": int(visits.data.size),
+            "index_used": int(visits.used),
+            "index_live": live,
+            "index_utilization": live / visits.used if visits.used else 1.0,
         }
 
     @property
     def arena_utilization(self) -> float:
         """Fraction of tail-allocated arena slots holding live data."""
-        if not self._arena_used:
-            return 1.0
-        return int(self._seg_len[: self._num_segments].sum()) / self._arena_used
+        return self.total_visits / self._segs.used if self._segs.used else 1.0
 
     # ------------------------------------------------------------------
     # Invariant checking (tests and failure injection)
@@ -1072,52 +1074,43 @@ class ColumnarWalkStore:
         """Recompute every counter/index from the arena and compare.
 
         Raises :class:`WalkStateError` on any inconsistency, including
-        structural ones specific to this backend (slot bounds, row
-        sortedness, ownership lists).
+        structural ones specific to this backend (slot bounds and
+        overlap, row sortedness, per-source rows).
         """
         n = self._num_nodes
-        expected_visits: list[dict[int, int]] = [{} for _ in range(n)]
-        expected_count = np.zeros(n, dtype=np.int64)
+        self._segs.check("node arena")
+        self._visits.check("visit index")
+        self._owned.check("per-source rows")
+        expected_visits: list[list[int]] = [[] for _ in range(n)]
         expected_sides = np.zeros((2, n), dtype=np.int64)
         expected_starting: list[list[int]] = [[] for _ in range(n)]
         expected_total = 0
         for segment_id in range(self._num_segments):
-            offset = int(self._seg_off[segment_id])
-            length = int(self._seg_len[segment_id])
-            if length < 1:
+            nodes = self._segs.row(segment_id)
+            if nodes.size < 1:
                 raise WalkStateError(f"segment {segment_id} is empty")
-            if length > int(self._seg_cap[segment_id]):
-                raise WalkStateError(f"segment {segment_id} overflows its slot")
-            if offset < 0 or offset + length > self._arena_used:
-                raise WalkStateError(f"segment {segment_id} outside the arena")
             if int(self._seg_reason[segment_id]) not in _REASONS:
                 raise WalkStateError(f"segment {segment_id} has a bad end reason")
-            nodes = self._arena[offset : offset + length]
             parity = int(self._seg_parity[segment_id])
             expected_starting[int(nodes[0])].append(segment_id)
             for position, node in enumerate(nodes.tolist()):
-                bucket = expected_visits[node]
-                bucket[segment_id] = bucket.get(segment_id, 0) + 1
-                expected_count[node] += 1
+                expected_visits[node].append(segment_id)  # ascending ids
                 expected_total += 1
                 if self.track_sides:
                     expected_sides[(position + parity) % 2][node] += 1
         for node in range(n):
-            row_seg, row_cnt = self._row(node)
-            if row_seg.size and not np.all(row_seg[1:] > row_seg[:-1]):
-                raise WalkStateError(f"visit-index row {node} not sorted")
-            if dict(zip(row_seg.tolist(), row_cnt.tolist())) != expected_visits[node]:
+            if self._visits.row(node).tolist() != expected_visits[node]:
                 raise WalkStateError("visit index diverged from segments")
-        if not np.array_equal(expected_count, self._visit_count[:n]):
-            raise WalkStateError("visit_count diverged from segments")
+            if int(self._walk_count[node]) != len(set(expected_visits[node])):
+                raise WalkStateError("walk_count diverged from segments")
+            if self._owned.row(node).tolist() != expected_starting[node]:
+                raise WalkStateError("segments_of diverged from segments")
         if expected_total != self.total_visits:
             raise WalkStateError("total_visits diverged from segments")
         if self.track_sides and not np.array_equal(
             expected_sides, self._side_count[:, :n]
         ):
             raise WalkStateError("side counters diverged from segments")
-        if expected_starting != self._segments_of:
-            raise WalkStateError("segments_of diverged from segments")
 
     def __repr__(self) -> str:
         return (

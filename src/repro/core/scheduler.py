@@ -160,7 +160,6 @@ class StalenessScheduler:
         read_repair: str = READ_STRICT,
         background: bool = False,
         safety_factor: float = 2.0,
-        compact_below: Optional[float] = None,
         stats=None,
         clock=time.monotonic,
         tracer=None,
@@ -184,9 +183,6 @@ class StalenessScheduler:
         docstring).  ``background=True`` starts a (non-daemon) worker
         thread that drains the queue whenever the budget is exceeded;
         call :meth:`close` (or use the context manager) to join it.
-        ``compact_below`` optionally compacts the walk store's arena
-        after a flush leaves its utilization under the given fraction —
-        background repair is the natural place for that maintenance.
         ``stats`` is an optional :class:`~repro.serve.stats.ServeStats`
         to bill deferrals and repairs into.  ``tracer`` is an optional
         :class:`~repro.obs.Tracer`; each flush then emits a
@@ -208,17 +204,12 @@ class StalenessScheduler:
             raise ConfigurationError(
                 f"safety_factor must be positive, got {safety_factor}"
             )
-        if compact_below is not None and not 0.0 < compact_below <= 1.0:
-            raise ConfigurationError(
-                f"compact_below must be in (0, 1], got {compact_below}"
-            )
         self.engine = engine
         self.staleness_budget = staleness_budget
         self.budget_scope = budget_scope
         self.repair = repair
         self.read_repair = read_repair
         self.safety_factor = safety_factor
-        self.compact_below = compact_below
         self.clock = clock
         self._stats = stats
         self._tracer = tracer
@@ -478,7 +469,6 @@ class StalenessScheduler:
                             reports.append(self.engine.apply(payload))
                     merged = BatchUpdateReport.merge(reports)
                 latency = self.clock() - started
-                self._maybe_compact()
         with self._mutex:
             self.flushes += 1
             self.flushed_events += flushed_events
@@ -516,17 +506,6 @@ class StalenessScheduler:
     def read_lock(self):
         """Context manager queries hold while reading the walk store."""
         return self._store_lock.read()
-
-    def _maybe_compact(self) -> None:
-        """Post-repair arena maintenance (write lock held by caller)."""
-        if self.compact_below is None:
-            return
-        walks = self.engine.walks
-        compact = getattr(walks, "compact", None)
-        if compact is None:
-            return
-        if walks.memory_stats().get("arena_utilization", 1.0) < self.compact_below:
-            compact()
 
     # ------------------------------------------------------------------
     # Background worker + lifecycle

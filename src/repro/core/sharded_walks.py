@@ -27,7 +27,7 @@ module brings that partitioning axis to the local storage engine.
 * **Parallel batch repair** — :meth:`apply_segment_updates` groups a batch
   by shard and fans the per-shard work (payload writes + the vectorized
   index rebuild) out over a worker pool.  Workers are plain threads: the
-  rebuild is dominated by ``lexsort`` / ``take`` passes that release the
+  rebuild is dominated by sort / ``take`` passes that release the
   GIL, so shards repair concurrently on multi-core hosts.  Parallelism
   never touches RNG (tails are simulated by the engine *before* the store
   call), so worker scheduling cannot perturb results.

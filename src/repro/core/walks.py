@@ -20,7 +20,7 @@ index* the incremental algorithms live on:
 Two implementations exist: :class:`WalkStore` here (one Python object per
 segment, per-node dict visit index — the reference implementation) and
 :class:`repro.core.columnar.ColumnarWalkStore` (one flat int64 node arena
-plus CSR-style index arrays — the production default).  Both produce
+plus packed int32 index rows — the production default).  Both produce
 bit-identical algorithm behavior under the same RNG because every
 enumeration the engines draw randomness over is deterministically ordered:
 ``segment_ids_visiting`` ascending by segment id, ``segments_starting_at``

@@ -22,3 +22,15 @@ def rehome_as_object(engine):
     engine.store_backend = "object"
     engine.adopt_store(store)
     return engine
+
+
+def object_arrays(store: WalkStore):
+    """``ColumnarWalkStore.to_arrays()`` as the object store would give it:
+    plain lists ``(flat, lengths, end_reasons, parities)`` in id order."""
+    flat, lengths, reasons, parities = [], [], [], []
+    for _, segment in store.iter_segments():
+        flat.extend(segment.nodes)
+        lengths.append(len(segment.nodes))
+        reasons.append(segment.end_reason)
+        parities.append(segment.parity_offset)
+    return flat, lengths, reasons, parities

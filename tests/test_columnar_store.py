@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from object_oracle import object_arrays
 
+from repro.core import columnar as columnar_module
 from repro.core.columnar import (
     BACKEND_COLUMNAR,
     BACKEND_OBJECT,
@@ -20,7 +22,11 @@ from repro.core.walks import (
     WalkSegment,
     WalkStore,
 )
+from repro.core.incremental import IncrementalPageRank
 from repro.errors import ConfigurationError, WalkStateError
+from repro.graph.arrival import ArrivalEvent
+from repro.graph.digraph import DynamicDiGraph
+from repro.workloads.twitter_like import twitter_like_stream
 
 
 class TestFactory:
@@ -325,3 +331,184 @@ class TestMemoryAccounting:
         assert store.distinct_segment_count(0) == 40
         assert store.segment_ids_visiting(0) == list(range(40))
         store.check_invariants()
+
+
+# ----------------------------------------------------------------------
+# DESIGN.md §7: the byte bound and what guarantees it
+# ----------------------------------------------------------------------
+
+
+def _owned_arrays(obj, seen=None) -> list[np.ndarray]:
+    """Every distinct ndarray reachable from ``vars(obj)`` (helpers included)."""
+    seen = {} if seen is None else seen
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            seen[id(value)] = value
+        elif hasattr(value, "__dict__"):
+            _owned_arrays(value, seen)
+    return list(seen.values())
+
+
+def _live_bytes(store: ColumnarWalkStore) -> int:
+    """Bytes of live payload: what the store would occupy with no slack,
+    no holes and no column headroom (the right side of the §7 bound)."""
+    stats = store.memory_stats()
+    per_segment = 8 + 4 + 4 + 1 + 1  # off, len, cap, end reason, parity
+    per_node = 2 * (8 + 4 + 4) + 4  # index row, per-source row, W(v)
+    if store.track_sides:
+        per_node += 16
+    return (
+        8 * stats["arena_live"]
+        + 4 * stats["index_live"]
+        + 4 * store.num_segments
+        + per_segment * store.num_segments
+        + per_node * store.num_nodes
+    )
+
+
+def _assert_within_byte_bound(store: ColumnarWalkStore) -> None:
+    assert store.memory_bytes() <= 1.75 * _live_bytes(store) + 64 * 1024
+
+
+def _churned_store() -> ColumnarWalkStore:
+    rng = np.random.default_rng(5)
+    store = ColumnarWalkStore(300, track_sides=True)
+    store.bulk_add_segments(
+        [rng.integers(0, 300, rng.integers(1, 9)).tolist() for _ in range(2000)],
+        [END_RESET] * 2000,
+    )
+    for _ in range(3000):
+        sid = int(rng.integers(store.num_segments))
+        tail = rng.integers(0, 320, rng.integers(0, 12)).tolist()
+        store.replace_suffix(sid, 0, tail, END_RESET)
+    for _ in range(200):
+        store.add_segment(
+            WalkSegment(rng.integers(0, 340, rng.integers(1, 9)).tolist(), END_RESET)
+        )
+    return store
+
+
+class TestByteBound:
+    def test_memory_bytes_counts_every_array(self):
+        store = _churned_store()
+        store.check_invariants()
+        arrays = _owned_arrays(store)
+        assert store.memory_bytes() == sum(a.nbytes for a in arrays)
+        stats = store.memory_stats()
+        assert stats["bytes"] == store.memory_bytes()
+        assert 0.0 < stats["arena_utilization"] <= 1.0
+        assert 0.0 < stats["index_utilization"] <= 1.0
+        _assert_within_byte_bound(store)
+
+    def test_memory_bytes_counts_an_adopted_arena_once(self):
+        flat, lengths, reasons, parities = _churned_store().to_arrays()
+        attached = ColumnarWalkStore.from_shared(
+            flat, lengths, reasons, parities, num_nodes=340
+        )
+        arrays = _owned_arrays(attached)
+        assert sum(a is flat for a in arrays) == 1  # adopted, not copied
+        assert attached.memory_bytes() == sum(a.nbytes for a in arrays)
+
+    def test_shrinking_rewrites_give_memory_back(self):
+        store = _churned_store()
+        for sid in range(store.num_segments):
+            store.replace_suffix(sid, 0, [], END_DANGLING)
+            _assert_within_byte_bound(store)
+        store.check_invariants()
+
+    def test_one_dominant_row_stays_within_the_bound(self):
+        # a hub visited by every segment: each relocation of its index
+        # row abandons a slot the size of everything else put together
+        store = ColumnarWalkStore(4)
+        for _ in range(6000):
+            store.add_segment(WalkSegment([1, 0], END_RESET))
+            _assert_within_byte_bound(store)
+        assert store.distinct_segment_count(0) == 6000
+        store.check_invariants()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_interleaved_ops_keep_the_bound_and_match_the_oracle(self, seed):
+        """The §7 invariant after *every* op, on a growing twitter-like
+        prefix, with the store bit-identical to the object oracle."""
+        events = list(twitter_like_stream(2_000, 24_000, rng=seed))
+        cut = len(events) * 7 // 10
+        graph = DynamicDiGraph(
+            1 + max(max(event.source, event.target) for event in events[:cut])
+        )
+        for event in events[:cut]:
+            graph.add_edge(event.source, event.target)
+        engine = IncrementalPageRank.from_graph(
+            graph.copy(), rng=seed + 1, store_backend="columnar"
+        )
+        oracle = IncrementalPageRank.from_graph(
+            graph.copy(), rng=seed + 1, store_backend="object"
+        )
+        driver = np.random.default_rng(seed + 2)
+        pending = events[cut:]
+        ops = 0
+        while pending and ops < 30:
+            ops += 1
+            present = engine.graph.edge_list()
+            if driver.random() < 0.4:  # scalar add or remove
+                if driver.random() < 0.5:
+                    event, pending = pending[0], pending[1:]
+                    for side in (engine, oracle):
+                        side.add_edge(event.source, event.target)
+                else:
+                    u, v = present[int(driver.integers(len(present)))]
+                    for side in (engine, oracle):
+                        side.remove_edge(u, v)
+            else:  # a slice of 1-512 events, every tenth a removal
+                size = int(driver.integers(1, 513))
+                adds, pending = pending[:size], pending[size:]
+                doomed = driver.choice(
+                    len(present), size=len(adds) // 10, replace=False
+                )
+                batch = [ArrivalEvent("add", e.source, e.target) for e in adds]
+                for spot, index in enumerate(doomed.tolist()):
+                    batch.insert(10 * spot, ArrivalEvent("remove", *present[index]))
+                for side in (engine, oracle):
+                    side.apply_batch(batch)
+            walks = engine.walks
+            walks.check_invariants()
+            _assert_within_byte_bound(walks)
+            assert [a.tolist() for a in walks.to_arrays()] == list(
+                object_arrays(oracle.walks)
+            )
+            assert engine.pagerank().tobytes() == oracle.pagerank().tobytes()
+        assert engine.graph.num_nodes > graph.num_nodes  # new nodes arrived
+
+
+class TestColumnWidths:
+    def test_segment_ids_never_wrap(self, monkeypatch):
+        monkeypatch.setattr(columnar_module, "_ID_DTYPE", np.int8)
+        store = ColumnarWalkStore(3)
+        for _ in range(2**7):
+            store.add_segment(WalkSegment([0, 1], END_RESET))
+        with pytest.raises(WalkStateError, match="segment-id width"):
+            store.add_segment(WalkSegment([0, 1], END_RESET))
+        with pytest.raises(WalkStateError, match="segment-id width"):
+            ColumnarWalkStore(3).bulk_add_segments(
+                [[0, 1]] * (2**7 + 1), [END_RESET] * (2**7 + 1)
+            )
+        # the refused write left nothing behind, and no stored id is negative
+        assert store.num_segments == 2**7
+        assert store.segment_ids_visiting(1) == list(range(2**7))
+        assert store.segments_starting_at(0) == list(range(2**7))
+        store.check_invariants()
+
+    def test_row_lengths_never_wrap(self, monkeypatch):
+        monkeypatch.setattr(columnar_module, "_LEN_DTYPE", np.int8)
+        store = ColumnarWalkStore(3)
+        with pytest.raises(WalkStateError, match="row width"):
+            store.add_segment(WalkSegment([0] * 128, END_RESET))
+        with pytest.raises(WalkStateError, match="row width"):
+            ColumnarWalkStore(3).bulk_add_segments([[0] * 128], [END_RESET])
+        store = ColumnarWalkStore(3)
+        for _ in range(127):  # node 1's index row fills the whole width
+            store.add_segment(WalkSegment([0, 1], END_RESET))
+        assert store.visit_count(1) == 127
+        store.check_invariants()
+        with pytest.raises(WalkStateError, match="row width"):
+            store.add_segment(WalkSegment([2, 1], END_RESET))
+        assert store.visit_count(1) == 127  # refused, not wrapped

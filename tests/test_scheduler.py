@@ -488,8 +488,6 @@ def test_constructor_validation():
     with pytest.raises(ConfigurationError):
         StalenessScheduler(engine, safety_factor=0.0)
     with pytest.raises(ConfigurationError):
-        StalenessScheduler(engine, compact_below=1.5)
-    with pytest.raises(ConfigurationError):
         QueryEngine(engine, freshness="stale")
 
 
@@ -524,43 +522,6 @@ def test_flush_on_empty_queue_is_noop():
     assert sched.flush() is None
     assert sched.ensure_fresh([0, 1, 2]) is False
     assert state_digest(engine) == before
-    sched.close()
-
-
-def test_compaction_hook_runs_after_flush():
-    engine = build_engine("columnar", seed=14)
-    # compact_below=1.0: any post-flush fragmentation triggers compaction
-    sched = StalenessScheduler(
-        engine, staleness_budget=math.inf, repair=REPAIR_REPLAY, compact_below=1.0
-    )
-    reference = build_engine("columnar", seed=14)
-    driver = np.random.default_rng(3)
-    events = []
-    for u, v in random_pairs(driver, 30):
-        event = toggle_event(sched.has_edge, u, v)
-        events.append(event)
-        sched.apply(event)
-        reference.apply(event)
-    sched.flush()
-    # guard against vacuity: the same stream repaired eagerly without the
-    # hook must actually fragment the arena, or this test proves nothing
-    assert reference.walks.memory_stats()["arena_utilization"] < 1.0 - 1e-9
-    stats = engine.walks.memory_stats()
-    assert stats["arena_utilization"] >= 1.0 - 1e-9, "hook did not compact"
-    engine.walks.check_invariants()
-    # compaction is representation-only: scores and graph are untouched
-    assert engine.pagerank().tobytes() == reference.pagerank().tobytes()
-    sched.close()
-
-
-def test_compaction_hook_is_inert_without_backend_support():
-    engine = build_engine("object", seed=14)
-    sched = StalenessScheduler(
-        engine, staleness_budget=math.inf, compact_below=0.9
-    )
-    sched.apply(toggle_event(sched.has_edge, 1, 7))
-    sched.flush()  # object store has no compact(); the hook must no-op
-    engine.walks.check_invariants()
     sched.close()
 
 
