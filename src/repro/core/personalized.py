@@ -54,19 +54,6 @@ class _FetchedState:
             return segment
         return None
 
-    def fresh_view(self) -> "_FetchedState":
-        """A per-walk view with its own segment-consumption cursor.
-
-        ``neighbors``/``segments`` are shared (never mutated in ``full``
-        fetch mode); only ``next_unused`` is per-walk state, so sharing one
-        fetched payload across many walks stays correct.
-        """
-        return _FetchedState(
-            neighbors=self.neighbors,
-            segments=self.segments,
-            out_degree=self.out_degree,
-        )
-
 
 class FetchCache:
     """Cross-query cache of fetched node states (adjacency + segments).
@@ -123,8 +110,7 @@ class FetchCache:
         return len(self._entries)
 
     def lookup(self, node: int) -> Optional[_FetchedState]:
-        """The shared payload for ``node``, or None.  Callers must use
-        :meth:`_FetchedState.fresh_view` before walking with it."""
+        """The shared payload for ``node``, or None (treat as read-only)."""
         with self._lock:
             payload = self._entries.get(node)
             if payload is None:
@@ -226,7 +212,7 @@ class StitchedWalkResult:
     plain_steps: int = 0
     resets: int = 0
     #: First-visits served from a shared :class:`FetchCache` instead of the
-    #: store (zero unless a cache was passed to :meth:`stitched_walk`).
+    #: store (zero unless a cache was passed to the query kernel).
     cached_fetches: int = 0
 
     def frequencies(self, num_nodes: int) -> np.ndarray:
@@ -281,30 +267,15 @@ class PersonalizedPageRank:
         *,
         rng: RngLike = None,
         use_segments: bool = True,
-        fetch_cache: Optional[FetchCache] = None,
     ) -> StitchedWalkResult:
         """Run Algorithm 1 from ``seed`` until the path reaches ``length``.
 
         ``use_segments=False`` disables splicing (the "crude way" of
         Remark 2: every step pays its own store traffic), which is the
         baseline the fetch experiments compare against.
-
-        ``fetch_cache`` supplies a shared cross-query :class:`FetchCache`:
-        first visits found there skip the store fetch entirely (counted in
-        ``cached_fetches``).  The walk's RNG consumption is *identical*
-        with or without the cache — a first visit in this walk re-enters
-        the loop (and re-flips the reset coin) whether its state came from
-        the cache or the store, and ``full``-mode fetches draw no
-        randomness — so a cached-assisted walk replays bit-for-bit the
-        trajectory of a cache-free walk with the same generator.  Requires
-        ``fetch_mode='full'``.
         """
         if length <= 0:
             raise ConfigurationError(f"length must be positive, got {length}")
-        if fetch_cache is not None and self.store.fetch_mode != FETCH_FULL:
-            raise ConfigurationError(
-                "fetch_cache requires a store with fetch_mode='full'"
-            )
         generator = ensure_rng(rng) if rng is not None else self._rng
         reset_probability = self.reset_probability
 
@@ -312,9 +283,6 @@ class PersonalizedPageRank:
             seed=seed, length=0, visit_counts=Counter(), fetches=0
         )
         fetched: dict[int, _FetchedState] = {}
-        cache_version = (
-            fetch_cache.version if fetch_cache is not None else 0
-        )
         counts = result.visit_counts
 
         current = seed
@@ -331,24 +299,8 @@ class PersonalizedPageRank:
 
             state = fetched.get(current)
             if state is None:
-                payload = (
-                    fetch_cache.lookup(current)
-                    if fetch_cache is not None
-                    else None
-                )
-                if payload is not None:
-                    state = payload.fresh_view()
-                    result.cached_fetches += 1
-                else:
-                    state = self._fetch(current, generator)
-                    if fetch_cache is not None:
-                        fetch_cache.store(
-                            current,
-                            state.fresh_view(),
-                            guard_version=cache_version,
-                        )
-                    result.fetches += 1
-                fetched[current] = state
+                fetched[current] = self._fetch(current, generator)
+                result.fetches += 1
                 continue  # re-enter the loop with the node now in memory
 
             segment = state.take_segment() if use_segments else None
@@ -410,10 +362,9 @@ class PersonalizedPageRank:
         length: int,
         *,
         rng: RngLike = None,
-        fetch_cache: Optional[FetchCache] = None,
     ) -> np.ndarray:
         """Personalized PageRank estimates (visit frequencies) for ``seed``."""
-        walk = self.stitched_walk(seed, length, rng=rng, fetch_cache=fetch_cache)
+        walk = self.stitched_walk(seed, length, rng=rng)
         return walk.frequencies(self.store.social_store.num_nodes)
 
     def top_k(
@@ -425,7 +376,6 @@ class PersonalizedPageRank:
         exclude_seed: bool = True,
         exclude_friends: bool = False,
         rng: RngLike = None,
-        fetch_cache: Optional[FetchCache] = None,
     ) -> StitchedWalkResult:
         """Run a walk sized for a top-``k`` query and leave ranking to caller.
 
@@ -434,7 +384,7 @@ class PersonalizedPageRank:
         The walk result is returned so fetch counts stay inspectable;
         call ``.top(k, exclude=...)`` on it for the ranking.
         """
-        walk = self.stitched_walk(seed, length, rng=rng, fetch_cache=fetch_cache)
+        walk = self.stitched_walk(seed, length, rng=rng)
         excluded: set[int] = set()
         if exclude_seed:
             excluded.add(seed)

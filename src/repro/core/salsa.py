@@ -656,35 +656,6 @@ class PersonalizedSALSA:
 
         return result
 
-    def batch_stitched_walks(
-        self,
-        seeds,
-        length,
-        *,
-        rngs=None,
-        rng_seed: int = 0,
-    ) -> list[SalsaWalkResult]:
-        """Run one personalized-SALSA walk per seed through the batch kernel.
-
-        Routes through :class:`repro.core.query_kernel.SalsaQueryKernel`
-        (the multi-seed engine sharing the PPR kernel's stream/assembly
-        machinery): per-walk generator streams, node payloads loaded once
-        per batch, and vectorized hub/authority visit accumulation.
-        Results are reproducible and independent of batch composition;
-        see the kernel module docstring for the RNG stream contract.
-        """
-        from repro.core.query_kernel import SalsaQueryKernel
-
-        # built per call (construction is a couple of attribute writes) so
-        # a later change to self.reset_probability can never serve walks
-        # drawn with a stale epsilon
-        kernel = SalsaQueryKernel(
-            self.store, reset_probability=self.reset_probability
-        )
-        return kernel.batch_stitched_walks(
-            seeds, length, rngs=rngs, rng_seed=rng_seed
-        )
-
     def _fetch(self, node: int, rng: np.random.Generator) -> _SalsaFetchState:
         fetch = self.store.fetch(node, rng)
         forward = [

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core import theory
-from repro.core.personalized import FetchCache, PersonalizedPageRank
+from repro.core.personalized import PersonalizedPageRank
 from repro.errors import ConfigurationError
 from repro.rng import RngLike
 
@@ -94,7 +94,6 @@ def top_k_personalized(
     exclude_friends: bool = True,
     length: Optional[int] = None,
     rng: RngLike = None,
-    fetch_cache: Optional[FetchCache] = None,
 ) -> TopKResult:
     """Find the ``k`` nodes with highest personalized PageRank for ``seed``.
 
@@ -102,8 +101,6 @@ def top_k_personalized(
     vector (§3.1; measure it with
     :func:`repro.analysis.power_law.fit_rank_exponent` when unknown).
     ``length`` overrides the Equation-4 walk length when given.
-    ``fetch_cache`` lets repeated queries share fetched node states (the
-    reported ``fetches`` then counts only actual store fetches).
     """
     if k <= 0:
         raise ConfigurationError(f"k must be positive, got {k}")
@@ -121,7 +118,6 @@ def top_k_personalized(
         exclude_seed=True,
         exclude_friends=exclude_friends,
         rng=rng,
-        fetch_cache=fetch_cache,
     )
     fetches = engine.store.fetch_count - before
     walks_per_node = max(len(engine.store.walks.segments_starting_at(seed)), 1)

@@ -14,10 +14,11 @@ Module map (the query path, top to bottom)::
     batcher.py   RequestBatcher — coalesces duplicate seeds, sheds load
         │        past a queue-depth limit (LoadShedError), and answers
         │        each drain with one multi-seed kernel invocation per
-        │        worker pass (kernel_batching=True, the default)
+        │        worker pass
         ▼
-    engine.py    QueryEngine — answers ppr()/top_k()/run_batch() with
-        │        per-query deterministic RNG; consults the seed-keyed
+    engine.py    QueryEngine — one query path: ppr()/top_k()/
+        │        ppr_to_target() are single-request run_batch() calls
+        │        with per-query deterministic RNG; consults the seed-keyed
         │        result cache, else computes through the batch kernel
         │        and the shared fetch cache
         ▼

@@ -40,56 +40,13 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
-from typing import Hashable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError, LoadShedError
 from repro.lifecycle import register_for_shutdown
-from repro.serve.engine import QueryEngine
+from repro.serve.engine import PPR_TO_TARGET, QueryEngine, QueryRequest
 
 __all__ = ["QueryRequest", "RequestBatcher"]
-
-PPR = "ppr"
-TOP_K = "topk"
-PPR_TO_TARGET = "pprt"
-
-
-@dataclass(frozen=True)
-class QueryRequest:
-    """One client request, hashable so duplicates can be coalesced."""
-
-    kind: str = TOP_K
-    seed: int = 0
-    k: int = 10
-    #: Explicit walk length; None lets top-k size the walk via Equation 4
-    #: (required for ``kind='ppr'``; for ``kind='pprt'`` it is the forward
-    #: walk length, 0 = reverse-only, None = FAST-PPR default sizing).
-    length: Optional[int] = None
-    exclude_friends: bool = True
-    #: ``kind='pprt'`` only: the target node and the PPR threshold delta.
-    target: Optional[int] = None
-    delta: Optional[float] = None
-    #: ``kind='pprt'`` only: reverse-push residual tolerance (None =
-    #: ``delta / 2``).
-    r_max: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in (PPR, TOP_K, PPR_TO_TARGET):
-            raise ConfigurationError(
-                f"kind must be '{PPR}', '{TOP_K}' or '{PPR_TO_TARGET}', "
-                f"got {self.kind!r}"
-            )
-        if self.kind == PPR and self.length is None:
-            raise ConfigurationError("ppr requests need an explicit length")
-        if self.kind == PPR_TO_TARGET:
-            if self.target is None or self.delta is None:
-                raise ConfigurationError(
-                    "pprt requests need a target and a delta"
-                )
-            if self.delta <= 0.0:
-                raise ConfigurationError(
-                    f"delta must be positive, got {self.delta}"
-                )
 
 
 class RequestBatcher:
@@ -102,7 +59,6 @@ class RequestBatcher:
         max_workers: int = 4,
         max_queue_depth: int = 256,
         fresh_stats: bool = False,
-        kernel_batching: bool = True,
         max_kernel_batch: int = 64,
     ) -> None:
         """Front a :class:`QueryEngine` with a coalescing worker pool.
@@ -110,11 +66,9 @@ class RequestBatcher:
         ``fresh_stats=True`` zeroes the engine's (long-lived, shared)
         serve and store counters on construction, so a restarted batcher
         reports this session's rates rather than the process lifetime's.
-        ``kernel_batching`` makes :meth:`run` coalesce each queue drain
-        into one multi-seed kernel invocation per worker pass (capped at
-        ``max_kernel_batch`` queries per invocation); ``False`` restores
-        the one-future-per-request legacy drain.  Answers are identical
-        either way — kernel queries walk per-query RNG streams.
+        :meth:`run` answers each queue drain with one multi-seed kernel
+        invocation per worker pass, capped at ``max_kernel_batch``
+        queries per invocation.
         """
         if max_workers <= 0:
             raise ConfigurationError(
@@ -136,14 +90,13 @@ class RequestBatcher:
         if fresh_stats:
             self.reset_stats()
         self.max_queue_depth = max_queue_depth
-        self.kernel_batching = kernel_batching
         self.max_kernel_batch = max_kernel_batch
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-serve"
         )
         self._max_workers = max_workers
         self._lock = threading.Lock()
-        self._in_flight: dict[Hashable, Future] = {}
+        self._in_flight: dict[QueryRequest, Future] = {}
         self._depth = 0
         self._closed = False
         # exit-time safety net: an abandoned batcher's pool threads are
@@ -151,10 +104,6 @@ class RequestBatcher:
         register_for_shutdown(self)
 
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _key(request: QueryRequest) -> Hashable:
-        return request
 
     @property
     def depth(self) -> int:
@@ -164,15 +113,15 @@ class RequestBatcher:
     def submit(self, request: QueryRequest) -> Future:
         """Admit ``request``; returns a future for its result.
 
-        A duplicate of an in-flight request shares that request's future
-        (coalesced — it neither costs a walk nor counts against the
-        admission window).  When the in-flight window is full the request
-        is shed: the returned future fails with
-        :class:`~repro.errors.LoadShedError`.
+        The request runs on the pool as a single-request
+        :meth:`QueryEngine.run_batch`.  A duplicate of an in-flight
+        request shares that request's future (coalesced — it neither costs
+        a walk nor counts against the admission window).  When the
+        in-flight window is full the request is shed: the returned future
+        fails with :class:`~repro.errors.LoadShedError`.
         """
-        key = self._key(request)
         with self._lock:
-            existing = self._in_flight.get(key)
+            existing = self._in_flight.get(request)
             if existing is not None:
                 self.stats.record_coalesced()
                 return existing
@@ -187,13 +136,13 @@ class RequestBatcher:
             # Capture the submitter's active span *now*: the pool thread's
             # contextvars won't see it, so _execute re-parents explicitly.
             parent = self.tracer.current() if self.tracer.enabled else None
-            future = self._executor.submit(self._execute, request, key, parent)
+            future = self._executor.submit(self._execute, request, parent)
             # _execute's cleanup also takes the lock, so the future cannot
             # be reaped before it is registered here.
-            self._in_flight[key] = future
+            self._in_flight[request] = future
             return future
 
-    def _execute(self, request: QueryRequest, key: Hashable, parent=None):
+    def _execute(self, request: QueryRequest, parent=None):
         tracer = self.tracer
         span = (
             tracer.span(
@@ -207,25 +156,10 @@ class RequestBatcher:
         )
         try:
             with span:
-                if request.kind == PPR:
-                    return self.query_engine.ppr(request.seed, request.length)
-                if request.kind == PPR_TO_TARGET:
-                    return self.query_engine.ppr_to_target(
-                        request.seed,
-                        request.target,
-                        request.delta,
-                        r_max=request.r_max,
-                        walk_length=request.length,
-                    )
-                return self.query_engine.top_k(
-                    request.seed,
-                    request.k,
-                    length=request.length,
-                    exclude_friends=request.exclude_friends,
-                )
+                return self.query_engine.run_batch([request])[0]
         finally:
             with self._lock:
-                self._in_flight.pop(key, None)
+                self._in_flight.pop(request, None)
                 self._depth -= 1
 
     # ------------------------------------------------------------------
@@ -233,31 +167,12 @@ class RequestBatcher:
     def run(self, requests: Sequence[QueryRequest]) -> List[Optional[object]]:
         """Answer a whole queue drain and gather results in request order.
 
-        With ``kernel_batching`` (the default) the drain is coalesced:
-        duplicate requests share one computation (billed ``coalesced``),
-        unique requests beyond ``max_queue_depth`` are shed (``None``
-        results, billed ``shed``), and the admitted remainder is split
-        into at most one chunk per worker — each chunk answered by a
-        single :meth:`QueryEngine.run_batch` kernel invocation on the
-        pool.  Otherwise every request is submitted as its own future
-        (the legacy drain).  Shed requests yield ``None``; other failures
-        propagate.  Duplicate requests resolve to the shared result.
-        """
-        if not self.kernel_batching:
-            futures = [self.submit(request) for request in requests]
-            results: List[Optional[object]] = []
-            for future in futures:
-                try:
-                    results.append(future.result())
-                except LoadShedError:
-                    results.append(None)
-            return results
-        return self._run_batched(requests)
-
-    def _run_batched(
-        self, requests: Sequence[QueryRequest]
-    ) -> List[Optional[object]]:
-        """One coalesced drain: dedupe, shed, chunk, one kernel per chunk.
+        Duplicate requests share one computation (billed ``coalesced``)
+        and resolve to the shared result; unique requests beyond
+        ``max_queue_depth`` are shed (``None`` results, billed ``shed``);
+        the admitted remainder is split into at most one chunk per worker,
+        each answered by a single :meth:`QueryEngine.run_batch` kernel
+        invocation on the pool.  Other failures propagate.
 
         Admission is charged against the same shared ``_depth`` window
         ``submit`` uses, so concurrent drains (and interleaved single
@@ -265,23 +180,22 @@ class RequestBatcher:
         of an admitted key coalesces onto its computation; a duplicate of
         a shed key is itself billed as shed (it is being refused too).
         """
-        slots: dict[Hashable, List[int]] = {}
+        slots: dict[QueryRequest, List[int]] = {}
         admitted: List[QueryRequest] = []
-        shed_keys: set = set()
+        shed: set = set()
         with self._lock:
             for index, request in enumerate(requests):
-                key = self._key(request)
-                entry = slots.get(key)
+                entry = slots.get(request)
                 if entry is not None:
                     entry.append(index)
-                    if key in shed_keys:
+                    if request in shed:
                         self.stats.record_shed()
                     else:
                         self.stats.record_coalesced()
                     continue
-                slots[key] = [index]
+                slots[request] = [index]
                 if self._depth >= self.max_queue_depth:
-                    shed_keys.add(key)
+                    shed.add(request)
                     self.stats.record_shed()
                     continue
                 self._depth += 1
@@ -338,7 +252,7 @@ class RequestBatcher:
                 ]
                 for chunk, future in zip(chunks, futures):
                     for request, value in zip(chunk, future.result()):
-                        for index in slots[self._key(request)]:
+                        for index in slots[request]:
                             results[index] = value
         finally:
             with self._lock:

@@ -1,9 +1,10 @@
 """The query front-end: cached PPR / top-k answers over the two stores.
 
 ``QueryEngine`` is what a recommendation service calls.  It answers the
-two §3 query shapes — full personalized-PageRank walks and top-``k``
-rankings — against an :class:`~repro.core.incremental.IncrementalPageRank`
-engine's stores, through two caches:
+§3 query shapes — full personalized-PageRank walks, top-``k`` rankings,
+and FAST-PPR target estimates — against an
+:class:`~repro.core.incremental.IncrementalPageRank` engine's stores,
+through two caches:
 
 * a seed-keyed **result cache** (:class:`~repro.serve.cache.ResultCache`,
   LRU + TTL) holding finished answers, invalidated selectively by the
@@ -12,12 +13,14 @@ engine's stores, through two caches:
   holding fetched node states, so even cache-miss walks skip most store
   round-trips (the hot core of the graph is read by nearly every walk).
 
-Cache misses are computed by the **multi-seed query kernel**
-(:class:`~repro.core.query_kernel.QueryKernel`): single queries run as
-B=1 batches, and :meth:`QueryEngine.run_batch` answers a whole drain of
-requests with one kernel invocation (the
-:class:`~repro.serve.batcher.RequestBatcher` feeds it per worker pass).
-``use_kernel=False`` falls back to the scalar reference walker.
+There is one query path: every answer goes through
+:meth:`QueryEngine.run_batch`, and every cache miss is computed by the
+**multi-seed query kernel** (:class:`~repro.core.query_kernel.QueryKernel`).
+``ppr``/``top_k``/``ppr_to_target`` are single-request batches; the
+:class:`~repro.serve.batcher.RequestBatcher` feeds whole drains per
+worker pass.  The kernel needs ``fetch_mode='full'``, so a
+``sampled_edge`` store is rejected at construction (Remark 1 walks are
+the scalar :class:`~repro.core.personalized.PersonalizedPageRank`'s job).
 
 **Determinism.**  Each query's walk RNG is derived from
 ``(rng_seed, query seed, walk length)`` — not from wall clock, arrival
@@ -28,29 +31,23 @@ kernel's per-stream contract; see :mod:`repro.core.query_kernel`).
 Combined with footprint invalidation (see :mod:`repro.serve.cache`) this
 gives the serving layer's differential guarantee: hit or miss, batched or
 not, the answer equals a cache-free B=1 kernel run with the same derived
-generator on the current store state (or a cache-free
-:meth:`~repro.core.personalized.PersonalizedPageRank.stitched_walk` when
-``use_kernel=False``).
+generator on the current store state.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import nullcontext
+from dataclasses import dataclass
 from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
 from repro.core import theory
 from repro.core.incremental import IncrementalPageRank
-from repro.core.personalized import (
-    FetchCache,
-    PersonalizedPageRank,
-    StitchedWalkResult,
-)
+from repro.core.personalized import FetchCache, StitchedWalkResult
 from repro.core.query_kernel import QueryKernel
 from repro.core.reverse_push import (
-    BidirectionalKernel,
     PprToTargetResult,
     default_r_max,
     default_walk_length,
@@ -61,15 +58,79 @@ from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, Tracer
 from repro.serve.cache import ResultCache
 from repro.serve.stats import ServeStats
-from repro.store.pagerank_store import FETCH_FULL
 
-__all__ = ["QueryEngine", "FRESHNESS_EAGER", "FRESHNESS_BOUNDED"]
+__all__ = [
+    "QueryEngine",
+    "QueryRequest",
+    "FRESHNESS_EAGER",
+    "FRESHNESS_BOUNDED",
+]
 
 #: Every mutation repairs the index synchronously (today's behavior).
 FRESHNESS_EAGER = "eager"
 #: Mutations routed through a :class:`StalenessScheduler` defer repair
 #: inside ``staleness_budget``; queries repair-on-read through it.
 FRESHNESS_BOUNDED = "bounded"
+
+PPR = "ppr"
+TOP_K = "topk"
+PPR_TO_TARGET = "pprt"
+
+
+@dataclass(frozen=True)
+class QueryRequest:
+    """One client request, hashable so duplicates can be coalesced.
+
+    Validated on construction, so a malformed request fails where it is
+    built instead of failing the whole batch it would have joined.
+    """
+
+    kind: str = TOP_K
+    seed: int = 0
+    k: int = 10
+    #: Explicit walk length; None lets top-k size the walk via Equation 4
+    #: (required for ``kind='ppr'``; for ``kind='pprt'`` it is the forward
+    #: walk length, 0 = reverse-only, None = FAST-PPR default sizing).
+    length: Optional[int] = None
+    exclude_friends: bool = True
+    #: ``kind='pprt'`` only: the target node and the PPR threshold delta.
+    target: Optional[int] = None
+    delta: Optional[float] = None
+    #: ``kind='pprt'`` only: reverse-push residual tolerance (None =
+    #: ``delta / 2``).
+    r_max: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in (PPR, TOP_K, PPR_TO_TARGET):
+            raise ConfigurationError(
+                f"kind must be '{PPR}', '{TOP_K}' or '{PPR_TO_TARGET}', "
+                f"got {self.kind!r}"
+            )
+        if self.kind == PPR and self.length is None:
+            raise ConfigurationError("ppr requests need an explicit length")
+        if self.kind == TOP_K and self.k <= 0:
+            raise ConfigurationError(f"k must be positive, got {self.k}")
+        if self.kind == PPR_TO_TARGET:
+            if self.target is None or self.delta is None:
+                raise ConfigurationError(
+                    "pprt requests need a target and a delta"
+                )
+            if self.delta <= 0.0:
+                raise ConfigurationError(
+                    f"delta must be positive, got {self.delta}"
+                )
+            if self.r_max is not None and self.r_max <= 0.0:
+                raise ConfigurationError(
+                    f"r_max must be positive, got {self.r_max}"
+                )
+            if self.length is not None and self.length < 0:
+                raise ConfigurationError(
+                    f"length must be >= 0, got {self.length}"
+                )
+        elif self.length is not None and self.length <= 0:
+            raise ConfigurationError(
+                f"length must be positive, got {self.length}"
+            )
 
 
 class QueryEngine:
@@ -88,7 +149,6 @@ class QueryEngine:
         share_fetches: bool = True,
         alpha: float = 0.77,
         c: float = 5.0,
-        use_kernel: bool = True,
         stats: Optional[ServeStats] = None,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
@@ -102,14 +162,9 @@ class QueryEngine:
         ``cache_results=False`` / ``share_fetches=False`` disable the
         respective cache (every query recomputes) — the ablation the
         E-SERVE benchmark measures against.  ``alpha``/``c`` are the
-        Equation-4 walk-sizing defaults for top-``k`` queries.
-        ``use_kernel=False`` computes misses with the scalar reference
-        walker instead of the batch kernel (a different—equally valid—
-        draw of each answer; pick one per deployment, as cached kernel
-        results never equal fresh reference recomputes and vice versa).
-        A ``sampled_edge``-mode store also falls back to the scalar
-        walker (the kernel requires ``fetch_mode='full'``); check
-        ``engine.kernel is None`` to see which path serves misses.
+        Equation-4 walk-sizing defaults for top-``k`` queries.  A
+        ``sampled_edge``-mode store raises :class:`ConfigurationError`
+        (the kernel requires ``fetch_mode='full'``).
 
         ``freshness`` is the staleness SLO: ``"eager"`` (default) keeps
         synchronous per-mutation repair; ``"bounded"`` fronts the engine
@@ -144,6 +199,14 @@ class QueryEngine:
             )
         self.engine = engine
         self.store = engine.pagerank_store
+        self.stats = stats if stats is not None else ServeStats(registry=registry)
+        #: The metrics registry serve counters bill into (the one behind
+        #: :attr:`stats`); scrape with ``registry.render_prometheus()``.
+        self.registry = self.stats.registry
+        #: Span collector threaded through the kernel and scheduler.
+        self.tracer = tracer if tracer is not None else Tracer()
+        #: The multi-seed batch kernel every cache miss is computed with.
+        self.kernel = self._build_kernel()
         self.rng_seed = rng_seed
         self.alpha = alpha
         self.c = c
@@ -158,12 +221,6 @@ class QueryEngine:
         self.fetch_cache = (
             FetchCache(capacity=fetch_cache_capacity) if share_fetches else None
         )
-        self.stats = stats if stats is not None else ServeStats(registry=registry)
-        #: The metrics registry serve counters bill into (the one behind
-        #: :attr:`stats`); scrape with ``registry.render_prometheus()``.
-        self.registry = self.stats.registry
-        #: Span collector threaded through the kernel and scheduler.
-        self.tracer = tracer if tracer is not None else Tracer()
         if scheduler is not None:
             self.freshness = FRESHNESS_BOUNDED
             self.scheduler: Optional[StalenessScheduler] = scheduler
@@ -182,22 +239,16 @@ class QueryEngine:
             self.freshness = FRESHNESS_EAGER
             self.scheduler = None
             self._owns_scheduler = False
-        self._walker = PersonalizedPageRank(
-            self.store, reset_probability=engine.reset_probability
-        )
-        #: The multi-seed batch kernel (None => scalar reference walker).
-        self.kernel: Optional[QueryKernel] = (
-            QueryKernel(
-                self.store,
-                reset_probability=engine.reset_probability,
-                registry=self.registry,
-                tracer=self.tracer,
-            )
-            if use_kernel and self.store.fetch_mode == FETCH_FULL
-            else None
-        )
         self._listener = self._on_update
         engine.add_update_listener(self._listener)
+
+    def _build_kernel(self) -> QueryKernel:
+        return QueryKernel(
+            self.store,
+            reset_probability=self.engine.reset_probability,
+            registry=self.registry,
+            tracer=self.tracer,
+        )
 
     # ------------------------------------------------------------------
     # Determinism
@@ -239,7 +290,7 @@ class QueryEngine:
         return self.scheduler.read_lock()
 
     # ------------------------------------------------------------------
-    # Queries
+    # Queries (each one a single-request batch)
     # ------------------------------------------------------------------
 
     def ppr(self, seed: int, length: int) -> StitchedWalkResult:
@@ -249,9 +300,7 @@ class QueryEngine:
         personalized scores).  Cached results are shared objects — treat
         them as read-only.
         """
-        self.ensure_fresh_for((seed,))
-        key = ("ppr", seed, length)
-        return self._served(key, lambda: self._run_walk(seed, length))[0]
+        return self.run_batch([QueryRequest(PPR, seed, length=length)])[0]
 
     def top_k(
         self,
@@ -260,35 +309,19 @@ class QueryEngine:
         *,
         length: Optional[int] = None,
         exclude_friends: bool = True,
-        alpha: Optional[float] = None,
-        c: Optional[float] = None,
     ) -> TopKResult:
         """Top-``k`` personalized ranking for ``seed`` (Equation-4 sizing).
 
-        Matches :func:`repro.core.topk.top_k_personalized` run with
-        ``rng=self.query_rng(seed, walk_length)`` on the current store
+        Matches :meth:`QueryKernel.batch_top_k` run with
+        ``rngs=[self.query_rng(seed, walk_length)]`` on the current store
         state — hit or miss.  The walk length derived from Equation 4 is
         part of the cache key, so node-count growth (which changes the
         derived length) can never serve a stale-sized answer.
         """
-        if k <= 0:
-            raise ConfigurationError(f"k must be positive, got {k}")
-        self.ensure_fresh_for((seed,))
-        alpha = self.alpha if alpha is None else alpha
-        c = self.c if c is None else c
-        num_nodes = self.store.social_store.num_nodes
-        walk_length = (
-            length
-            if length is not None
-            else walk_length_for_top_k(k, num_nodes, alpha, c)
+        request = QueryRequest(
+            TOP_K, seed, k, length=length, exclude_friends=exclude_friends
         )
-        key = ("topk", seed, k, walk_length, exclude_friends, alpha, c)
-        return self._served(
-            key,
-            lambda: self._run_top_k(
-                seed, k, walk_length, exclude_friends, alpha, c
-            ),
-        )[0]
+        return self.run_batch([request])[0]
 
     def ppr_to_target(
         self,
@@ -313,52 +346,65 @@ class QueryEngine:
         walk's visit set — any edge update outside it cannot change the
         answer.
         """
-        if delta <= 0.0:
-            raise ConfigurationError(f"delta must be positive, got {delta}")
-        self.ensure_fresh_for((seed, target))
-        resolved_r_max = default_r_max(delta) if r_max is None else float(r_max)
-        resolved_length = (
-            default_walk_length(
-                delta, resolved_r_max, self.engine.reset_probability
-            )
-            if walk_length is None
-            else int(walk_length)
-        )
-        key = (
-            "pprt",
+        request = QueryRequest(
+            PPR_TO_TARGET,
             seed,
-            target,
-            float(delta),
-            resolved_r_max,
-            resolved_length,
+            target=target,
+            delta=delta,
+            r_max=r_max,
+            length=walk_length,
         )
-        return self._served(
-            key,
-            lambda: self._run_ppr_to_target(
-                seed, target, float(delta), resolved_r_max, resolved_length
-            ),
-        )[0]
+        return self.run_batch([request])[0]
 
     # ------------------------------------------------------------------
-    # Execution
+    # Execution (one kernel invocation per drain)
     # ------------------------------------------------------------------
 
-    def _served(self, key: Hashable, compute):
-        """Answer ``key`` through the result cache; returns (value, hit)."""
-        started = self.clock()
+    def _key(self, request: QueryRequest, num_nodes: int) -> tuple:
+        """The request's cache key, with every default resolved.
+
+        ``ppr``: ``(kind, seed, length)``; ``topk``: ``(kind, seed, k,
+        length, exclude_friends, alpha, c)``; ``pprt``: ``(kind, seed,
+        target, delta, r_max, length)``.
+        """
+        if request.kind == PPR:
+            return (PPR, request.seed, request.length)
+        if request.kind == TOP_K:
+            length = (
+                request.length
+                if request.length is not None
+                else walk_length_for_top_k(
+                    request.k, num_nodes, self.alpha, self.c
+                )
+            )
+            return (
+                TOP_K,
+                request.seed,
+                request.k,
+                length,
+                request.exclude_friends,
+                self.alpha,
+                self.c,
+            )
+        delta = float(request.delta)
+        r_max = (
+            default_r_max(delta)
+            if request.r_max is None
+            else float(request.r_max)
+        )
+        length = (
+            default_walk_length(delta, r_max, self.engine.reset_probability)
+            if request.length is None
+            else int(request.length)
+        )
+        return (PPR_TO_TARGET, request.seed, request.target, delta, r_max, length)
+
+    def _put(self, key: tuple, value, footprint, guard: tuple) -> None:
+        """Cache a computed answer unless an invalidation or arena swap
+        ran since ``guard`` — a result walked on the pre-update store must
+        never land after the update's invalidation."""
         if self.cache_results:
-            hit, value = self.results.get(key)
-            if hit:
-                self.stats.record_query(hit=True, latency=self.clock() - started)
-                return value, True
-        # guard_version rejects the insert if an invalidation ran while we
-        # computed — otherwise a result walked on the pre-update store
-        # could land after the update's invalidation and never be dropped;
-        # guard_generation does the same for arena swaps (swap_engine)
-        guard_version = self.results.version
-        guard_generation = self.results.generation
-        value, footprint = compute()
-        if self.cache_results:
+            guard_version, guard_generation = guard
             self.results.put(
                 key,
                 value,
@@ -367,137 +413,18 @@ class QueryEngine:
                 guard_version=guard_version,
                 generation=guard_generation,
             )
-        self.stats.record_query(hit=False, latency=self.clock() - started)
-        return value, False
 
-    def _compute_walk(self, seed: int, length: int) -> StitchedWalkResult:
-        """One cache-miss walk: a B=1 kernel batch (or the reference)."""
-        rng = self.query_rng(seed, length)
-        with self._store_read_lock():
-            if self.kernel is not None:
-                walk = self.kernel.stitched_walk(
-                    seed, length, rng=rng, fetch_cache=self.fetch_cache
-                )
-                self.stats.record_kernel_batch(1, (walk.length,))
-                return walk
-            return self._walker.stitched_walk(
-                seed, length, rng=rng, fetch_cache=self.fetch_cache
-            )
-
-    def _run_walk(self, seed: int, length: int):
-        walk = self._compute_walk(seed, length)
-        return walk, frozenset(walk.visit_counts)
-
-    def _run_top_k(
-        self,
-        seed: int,
-        k: int,
-        walk_length: int,
-        exclude_friends: bool,
-        alpha: float,
-        c: float,
-    ):
-        walk = self._compute_walk(seed, walk_length)
-        return self._package_top_k(walk, k, walk_length, exclude_friends, alpha, c)
-
-    def _package_top_k(
-        self,
-        walk: StitchedWalkResult,
-        k: int,
-        walk_length: int,
-        exclude_friends: bool,
-        alpha: float,
-        c: float,
-    ):
-        """Rank a finished walk into a ``(TopKResult, footprint)`` pair."""
-        seed = walk.seed
-        # Footprint = the *raw* visit set: excluded nodes (seed, friends)
-        # were still read by the walk, so they must keep invalidating.
-        footprint = frozenset(walk.visit_counts)
-        excluded = {seed}
-        if exclude_friends:
-            excluded.update(self.store.social_store.out_neighbors(seed))
-        result = TopKResult(
-            seed=seed,
-            k=k,
-            ranking=walk.top(k, exclude=excluded),
-            walk_length=walk_length,
-            fetches=walk.fetches,
-            fetch_bound=theory.cor9_topk_fetch_bound(
-                k, alpha, c, self._seed_walk_count(seed)
-            ),
-            alpha=alpha,
-            c=c,
-        )
-        return result, footprint
-
-    def _seed_walk_count(self, seed: int) -> int:
-        return max(len(self.store.walks.segments_starting_at(seed)), 1)
-
-    def _run_ppr_to_target(
-        self, seed: int, target: int, delta: float, r_max: float, length: int
-    ):
-        with self._store_read_lock():
-            if self.kernel is not None:
-                result = self.kernel.batch_ppr_to_target(
-                    [seed],
-                    target,
-                    delta,
-                    r_max=r_max,
-                    walk_length=length,
-                    rng_seed=self.rng_seed,
-                    fetch_cache=self.fetch_cache,
-                )[0]
-            else:
-                result = self._scalar_ppr_to_target(
-                    seed, target, delta, r_max, length
-                )
-        return result, result.footprint
-
-    def _scalar_ppr_to_target(
-        self, seed: int, target: int, delta: float, r_max: float, length: int
-    ) -> PprToTargetResult:
-        """Reference-walker fallback; caller holds the store read lock."""
-        bidirectional = BidirectionalKernel(
-            self.store.social_store.graph,
-            reset_probability=self.engine.reset_probability,
-        )
-        push = bidirectional.prepare_target(target, r_max=r_max)
-        if length > 0 and push.residual_mass != 0.0:
-            walk = self._walker.stitched_walk(
-                seed,
-                length,
-                rng=self.query_rng(seed, length),
-                fetch_cache=self.fetch_cache,
-            )
-            return bidirectional.estimate(
-                push,
-                seed,
-                delta=delta,
-                visit_counts=walk.visit_counts,
-                resets=walk.resets,
-                walk_length=length,
-            )
-        return bidirectional.estimate(push, seed, delta=delta, walk_length=0)
-
-    # ------------------------------------------------------------------
-    # Batched execution (one kernel invocation per drain)
-    # ------------------------------------------------------------------
-
-    def run_batch(self, requests: Sequence) -> list:
+    def run_batch(self, requests: Sequence[QueryRequest]) -> list:
         """Answer many requests with one kernel invocation for the misses.
 
-        ``requests`` are :class:`~repro.serve.batcher.QueryRequest`-shaped
-        objects (``kind``/``seed``/``k``/``length``/``exclude_friends``,
-        plus ``target``/``delta``/``r_max`` for ``"pprt"`` requests).
+        The only place a :class:`QueryEngine` computes anything.
         Duplicate query keys are computed once; cache hits are served from
         the result cache; every remaining walk miss joins one
         :meth:`QueryKernel.batch_stitched_walks` call sharing the fetch
         cache, and ``pprt`` misses share one reverse push per distinct
-        target through :meth:`QueryKernel.batch_ppr_to_target`.  Each answer is identical to what the corresponding
-        single-query :meth:`ppr` / :meth:`top_k` call would return — the
-        kernel's per-query RNG streams make results independent of batch
-        composition — so batching is purely a throughput decision.
+        target through :meth:`QueryKernel.batch_ppr_to_target`.  The
+        kernel's per-query RNG streams make each answer independent of
+        batch composition, so batching is purely a throughput decision.
         Returns values in request order.
         """
         if not requests:
@@ -506,105 +433,17 @@ class QueryEngine:
         freshen.update(
             request.target
             for request in requests
-            if getattr(request, "kind", None) == "pprt"
+            if request.kind == PPR_TO_TARGET
         )
         self.ensure_fresh_for(freshen)
         started = self.clock()
         num_nodes = self.store.social_store.num_nodes
-        specs = []  # (key, kind, seed, walk_length, k, exclude_friends)
-        # pprt specs are wider: (key, "pprt", seed, target, delta, r_max, len)
-        for request in requests:
-            if request.kind == "pprt":
-                if request.target is None or request.delta is None:
-                    raise ConfigurationError(
-                        "pprt requests need a target and a delta"
-                    )
-                delta = float(request.delta)
-                if delta <= 0.0:
-                    raise ConfigurationError(
-                        f"delta must be positive, got {delta}"
-                    )
-                r_max = (
-                    default_r_max(delta)
-                    if getattr(request, "r_max", None) is None
-                    else float(request.r_max)
-                )
-                length = (
-                    default_walk_length(
-                        delta, r_max, self.engine.reset_probability
-                    )
-                    if request.length is None
-                    else int(request.length)
-                )
-                key = (
-                    "pprt",
-                    request.seed,
-                    request.target,
-                    delta,
-                    r_max,
-                    length,
-                )
-                specs.append(
-                    (
-                        key,
-                        "pprt",
-                        request.seed,
-                        request.target,
-                        delta,
-                        r_max,
-                        length,
-                    )
-                )
-            elif request.kind == "ppr":
-                if request.length is None:
-                    raise ConfigurationError(
-                        "ppr requests need an explicit length"
-                    )
-                key = ("ppr", request.seed, request.length)
-                specs.append(
-                    (key, "ppr", request.seed, request.length, 0, False)
-                )
-            else:
-                if request.k <= 0:
-                    raise ConfigurationError(
-                        f"k must be positive, got {request.k}"
-                    )
-                walk_length = (
-                    request.length
-                    if request.length is not None
-                    else walk_length_for_top_k(
-                        request.k, num_nodes, self.alpha, self.c
-                    )
-                )
-                key = (
-                    "topk",
-                    request.seed,
-                    request.k,
-                    walk_length,
-                    request.exclude_friends,
-                    self.alpha,
-                    self.c,
-                )
-                specs.append(
-                    (
-                        key,
-                        "topk",
-                        request.seed,
-                        walk_length,
-                        request.k,
-                        request.exclude_friends,
-                    )
-                )
+        keys = [self._key(request, num_nodes) for request in requests]
 
         resolved: dict[Hashable, object] = {}
-        misses = []
+        walk_misses = []
         pprt_misses = []
-        seen = set()
-        for spec in specs:
-            key = spec[0]
-            if key in seen:
-                continue
-            seen.add(key)
+        for key in dict.fromkeys(keys):
             if self.cache_results:
                 hit, value = self.results.get(key)
                 if hit:
@@ -613,108 +452,99 @@ class QueryEngine:
                         hit=True, latency=self.clock() - started
                     )
                     continue
-            if spec[1] == "pprt":
-                pprt_misses.append(spec)
+            if key[0] == PPR_TO_TARGET:
+                pprt_misses.append(key)
             else:
-                misses.append(spec)
+                walk_misses.append(key)
 
         if pprt_misses:
-            guard_version = self.results.version
-            guard_generation = self.results.generation
+            guard = (self.results.version, self.results.generation)
             # One reverse push per distinct (target, delta, r_max, length):
             # the push is seed-independent, so all that group's seeds share
             # it through a single kernel call.
             groups: dict[tuple, list] = {}
-            for spec in pprt_misses:
-                groups.setdefault(spec[3:], []).append(spec)
+            for key in pprt_misses:
+                groups.setdefault(key[2:], []).append(key)
             with self._store_read_lock():
                 for (target, delta, r_max, length), group in groups.items():
-                    group_seeds = [spec[2] for spec in group]
-                    if self.kernel is not None:
-                        answers = self.kernel.batch_ppr_to_target(
-                            group_seeds,
-                            target,
-                            delta,
-                            r_max=r_max,
-                            walk_length=length,
-                            rng_seed=self.rng_seed,
-                            fetch_cache=self.fetch_cache,
-                        )
-                    else:
-                        answers = [
-                            self._scalar_ppr_to_target(
-                                seed, target, delta, r_max, length
-                            )
-                            for seed in group_seeds
-                        ]
-                    for spec, answer in zip(group, answers):
-                        if self.cache_results:
-                            self.results.put(
-                                spec[0],
-                                answer,
-                                answer.footprint,
-                                self.engine.epoch,
-                                guard_version=guard_version,
-                                generation=guard_generation,
-                            )
-                        resolved[spec[0]] = answer
+                    answers = self.kernel.batch_ppr_to_target(
+                        [key[1] for key in group],
+                        target,
+                        delta,
+                        r_max=r_max,
+                        walk_length=length,
+                        rng_seed=self.rng_seed,
+                        fetch_cache=self.fetch_cache,
+                    )
+                    for key, answer in zip(group, answers):
+                        self._put(key, answer, answer.footprint, guard)
+                        resolved[key] = answer
             latency = self.clock() - started
             for _ in pprt_misses:
                 self.stats.record_query(hit=False, latency=latency)
 
-        if misses:
-            guard_version = self.results.version
-            guard_generation = self.results.generation
-            rngs = [
-                self.query_rng(seed, walk_length)
-                for _, _, seed, walk_length, _, _ in misses
-            ]
+        if walk_misses:
+            guard = (self.results.version, self.results.generation)
+            seeds = [key[1] for key in walk_misses]
+            # ppr keys carry the length at [2], topk keys at [3]
+            lengths = [key[2] if key[0] == PPR else key[3] for key in walk_misses]
             with self._store_read_lock():
-                if self.kernel is not None:
-                    walks = self.kernel.batch_stitched_walks(
-                        [spec[2] for spec in misses],
-                        [spec[3] for spec in misses],
-                        rngs=rngs,
-                        fetch_cache=self.fetch_cache,
-                    )
-                    self.stats.record_kernel_batch(
-                        len(misses), [walk.length for walk in walks]
-                    )
+                walks = self.kernel.batch_stitched_walks(
+                    seeds,
+                    lengths,
+                    rngs=[
+                        self.query_rng(seed, length)
+                        for seed, length in zip(seeds, lengths)
+                    ],
+                    fetch_cache=self.fetch_cache,
+                )
+            self.stats.record_kernel_batch(
+                len(walk_misses), [walk.length for walk in walks]
+            )
+            for key, walk in zip(walk_misses, walks):
+                if key[0] == PPR:
+                    value = walk
                 else:
-                    walks = [
-                        self._walker.stitched_walk(
-                            seed,
-                            walk_length,
-                            rng=rng,
-                            fetch_cache=self.fetch_cache,
-                        )
-                        for (_, _, seed, walk_length, _, _), rng in zip(
-                            misses, rngs
-                        )
-                    ]
-            for spec, walk in zip(misses, walks):
-                key, kind, _, walk_length, k, exclude_friends = spec
-                if kind == "ppr":
-                    value, footprint = walk, frozenset(walk.visit_counts)
-                else:
-                    value, footprint = self._package_top_k(
-                        walk, k, walk_length, exclude_friends, self.alpha, self.c
-                    )
-                if self.cache_results:
-                    self.results.put(
-                        key,
-                        value,
-                        footprint,
-                        self.engine.epoch,
-                        guard_version=guard_version,
-                        generation=guard_generation,
-                    )
+                    _, _, k, length, exclude_friends, _, _ = key
+                    value = self._package_top_k(walk, k, length, exclude_friends)
+                # footprint = the *raw* visit set: excluded nodes (seed,
+                # friends) were still read by the walk, so they must keep
+                # invalidating
+                self._put(key, value, frozenset(walk.visit_counts), guard)
                 resolved[key] = value
             latency = self.clock() - started
-            for _ in misses:
+            for _ in walk_misses:
                 self.stats.record_query(hit=False, latency=latency)
 
-        return [resolved[spec[0]] for spec in specs]
+        return [resolved[key] for key in keys]
+
+    def _package_top_k(
+        self,
+        walk: StitchedWalkResult,
+        k: int,
+        walk_length: int,
+        exclude_friends: bool,
+    ) -> TopKResult:
+        """Rank a finished walk into a :class:`TopKResult`."""
+        seed = walk.seed
+        excluded = {seed}
+        if exclude_friends:
+            excluded.update(self.store.social_store.out_neighbors(seed))
+        walks_per_node = max(
+            len(self.store.walks.segments_starting_at(seed)), 1
+        )
+        return TopKResult(
+            seed=seed,
+            k=k,
+            ranking=walk.top(k, exclude=excluded),
+            walk_length=walk_length,
+            fetches=walk.fetches,
+            fetch_bound=theory.cor9_topk_fetch_bound(
+                k, self.alpha, self.c, walks_per_node
+            ),
+            alpha=self.alpha,
+            c=self.c,
+        )
 
     # ------------------------------------------------------------------
     # Invalidation + lifecycle
@@ -748,7 +578,7 @@ class QueryEngine:
 
         * unsubscribes from the old engine's update feed and subscribes to
           the new one;
-        * rebinds the store, reference walker, and query kernel;
+        * rebinds the store and query kernel;
         * advances the result cache's arena generation
           (:meth:`ResultCache.bump_generation`) so every cached answer —
           and any in-flight put computed against the old arena — is dead;
@@ -770,18 +600,7 @@ class QueryEngine:
         self.engine.remove_update_listener(self._listener)
         self.engine = engine
         self.store = engine.pagerank_store
-        self._walker = PersonalizedPageRank(
-            self.store, reset_probability=engine.reset_probability
-        )
-        if self.kernel is not None and self.store.fetch_mode == FETCH_FULL:
-            self.kernel = QueryKernel(
-                self.store,
-                reset_probability=engine.reset_probability,
-                registry=self.registry,
-                tracer=self.tracer,
-            )
-        else:
-            self.kernel = None
+        self.kernel = self._build_kernel()
         generation = self.results.bump_generation()
         if self.fetch_cache is not None:
             self.fetch_cache.clear()

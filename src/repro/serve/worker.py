@@ -82,10 +82,9 @@ class WorkerConfig:
 
     Mirrors the :class:`~repro.serve.engine.QueryEngine` /
     :class:`~repro.serve.batcher.RequestBatcher` knobs that matter for a
-    read-only worker.  ``rng_seed`` and ``use_kernel`` must match the
-    single-process engine you compare against — the RNG contract derives
-    every walk from ``(rng_seed, seed, length)``, and kernel vs scalar
-    walker are different (equally valid) draws.  ``trace=True`` runs the
+    read-only worker.  ``rng_seed`` must match the single-process engine
+    you compare against — the RNG contract derives every walk from
+    ``(rng_seed, seed, length)``.  ``trace=True`` runs the
     worker with a force-enabled tracer and ships finished spans home with
     each batch result.  ``heartbeat_interval`` is the idle period after
     which the worker proves liveness; ``fault_plan`` threads a seeded
@@ -96,7 +95,6 @@ class WorkerConfig:
     result_capacity: int = 4096
     cache_results: bool = True
     share_fetches: bool = True
-    use_kernel: bool = True
     alpha: float = 0.77
     c: float = 5.0
     worker_threads: int = 1
@@ -127,7 +125,6 @@ def build_serving_stack(
         result_capacity=config.result_capacity,
         cache_results=config.cache_results,
         share_fetches=config.share_fetches,
-        use_kernel=config.use_kernel,
         alpha=config.alpha,
         c=config.c,
         tracer=tracer,

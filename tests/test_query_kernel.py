@@ -397,11 +397,14 @@ class TestSalsaKernel:
 
     def test_batch_equals_singles_and_routes_via_personalized_salsa(self):
         engine = self._salsa(walks=4)
-        walker = PersonalizedSALSA(engine.pagerank_store)
+        kernel = SalsaQueryKernel(
+            engine.pagerank_store,
+            reset_probability=engine.reset_probability,
+        )
         seeds = list(range(10))
-        batched = walker.batch_stitched_walks(seeds, 200, rng_seed=5)
+        batched = kernel.batch_stitched_walks(seeds, 200, rng_seed=5)
         for seed, walk in zip(seeds, batched):
-            solo = walker.batch_stitched_walks([seed], 200, rng_seed=5)[0]
+            solo = kernel.batch_stitched_walks([seed], 200, rng_seed=5)[0]
             assert solo.hub_counts == walk.hub_counts
             assert solo.authority_counts == walk.authority_counts
             assert solo.length == walk.length
@@ -410,8 +413,12 @@ class TestSalsaKernel:
     def test_distributional_equivalence_with_reference(self):
         engine = self._salsa(walks=3)
         walker = PersonalizedSALSA(engine.pagerank_store)
+        kernel = SalsaQueryKernel(
+            engine.pagerank_store,
+            reset_probability=engine.reset_probability,
+        )
         trials, length, seed = 50, 300, 2
-        kernel_walks = walker.batch_stitched_walks(
+        kernel_walks = kernel.batch_stitched_walks(
             [seed] * trials,
             length,
             rngs=[np.random.default_rng([51, t]) for t in range(trials)],

@@ -248,21 +248,6 @@ def test_query_engine_batch_matches_single():
     qe.detach()
 
 
-def test_query_engine_scalar_fallback_matches_itself():
-    graph = twitter_like_graph(40, 250, rng=12)
-    engine = _engine(graph)
-    qe = QueryEngine(engine, rng_seed=2, use_kernel=False, cache_results=False)
-    assert qe.kernel is None
-    first = qe.ppr_to_target(3, 7, 0.02)
-    second = qe.ppr_to_target(3, 7, 0.02)
-    assert first.estimate == second.estimate
-    batch = qe.run_batch(
-        [QueryRequest(kind="pprt", seed=3, target=7, delta=0.02)]
-    )[0]
-    assert batch.estimate == first.estimate
-    qe.detach()
-
-
 def test_batcher_coalesces_and_dispatches_pprt():
     graph = twitter_like_graph(40, 250, rng=13)
     engine = _engine(graph)

@@ -4,8 +4,7 @@ The central contract (ISSUE 2's acceptance, carried forward to the ISSUE
 5 kernel): for **any** interleaving of queries and ``apply_batch`` calls,
 a ``QueryEngine`` answer — cache hit or miss, batched or single — equals
 a cache-free B=1 ``QueryKernel`` run on the same post-update store with
-the same derived RNG (or a cache-free ``PersonalizedPageRank`` run when
-``use_kernel=False``).  Hypothesis drives random interleavings against
+the same derived RNG.  Hypothesis drives random interleavings against
 that oracle; the rest of the file pins down each component (result cache,
 fetch cache, batcher, kernel batching, traffic).
 """
@@ -14,13 +13,12 @@ from __future__ import annotations
 
 from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.incremental import IncrementalPageRank
-from repro.core.personalized import FetchCache, PersonalizedPageRank
+from repro.core.personalized import FetchCache
 from repro.core.query_kernel import QueryKernel
 from repro.errors import ConfigurationError, LoadShedError
 from repro.graph.arrival import ArrivalEvent, RandomPermutationArrival
@@ -163,31 +161,6 @@ class TestDifferentialInterleaving:
         # a repeat is a hit and returns the identical cached result
         again = query_engine.ppr(query_seed, WALK_LENGTH)
         assert again is served
-
-    @given(
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=0, max_value=NODES - 1),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_reference_walker_mode_matches_scalar_reference(
-        self, seed, query_seed
-    ):
-        """``use_kernel=False`` preserves the pre-kernel serve contract."""
-        engine = _fresh_engine(seed)
-        engine.apply_batch(
-            _toggle_stream([(i, (i + 2) % NODES) for i in range(NODES)])
-        )
-        query_engine = QueryEngine(engine, rng_seed=3, use_kernel=False)
-        walker = PersonalizedPageRank(
-            engine.pagerank_store, reset_probability=engine.reset_probability
-        )
-        served = query_engine.ppr(query_seed, WALK_LENGTH)
-        expected = walker.stitched_walk(
-            query_seed,
-            WALK_LENGTH,
-            rng=query_engine.query_rng(query_seed, WALK_LENGTH),
-        )
-        assert served.visit_counts == expected.visit_counts
 
     def test_differential_on_medium_graph_through_batcher(self):
         graph = twitter_like_graph(300, 3600, rng=11)
@@ -391,22 +364,6 @@ class TestResultCache:
 # ----------------------------------------------------------------------
 
 class TestFetchCache:
-    def test_walks_identical_with_and_without_cache(self):
-        engine = _fresh_engine(1)
-        engine.apply_batch(
-            _toggle_stream([(i, (i + 1) % NODES) for i in range(NODES)])
-        )
-        walker = PersonalizedPageRank(engine.pagerank_store)
-        cache = FetchCache()
-        for trial in range(3):
-            rng_a = np.random.default_rng(trial)
-            rng_b = np.random.default_rng(trial)
-            bare = walker.stitched_walk(0, 300, rng=rng_a)
-            cached = walker.stitched_walk(0, 300, rng=rng_b, fetch_cache=cache)
-            assert bare.visit_counts == cached.visit_counts
-            assert bare.fetches == cached.fetches + cached.cached_fetches
-        assert cache.hits > 0
-
     def test_capacity_evicts_lru(self):
         cache = FetchCache(capacity=2)
         engine = _fresh_engine(2)
@@ -443,11 +400,14 @@ class TestFetchCache:
             walk_store=engine.walks,
             fetch_mode=FETCH_SAMPLED_EDGE,
         )
-        walker = PersonalizedPageRank(store)
-        with pytest.raises(ConfigurationError):
-            walker.stitched_walk(0, 10, fetch_cache=FetchCache())
         with pytest.raises(ConfigurationError):
             FetchCache().prewarm(store, [0])
+        # the serve path is the kernel, which needs fetch_mode='full'
+        sampled = IncrementalPageRank(
+            engine.social_store, pagerank_store=store
+        )
+        with pytest.raises(ConfigurationError):
+            QueryEngine(sampled)
 
     def test_invalidate_and_counters(self):
         cache = FetchCache()
@@ -557,6 +517,61 @@ class TestRequestBatcher:
             QueryRequest(kind="nope", seed=0)
         with pytest.raises(ConfigurationError):
             QueryRequest(kind="ppr", seed=0, length=None)
+        # reverse-only pprt (length=0) is a valid request
+        QueryRequest(kind="pprt", seed=0, target=1, delta=0.1, length=0)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(kind="topk", k=0),
+            dict(kind="ppr", length=0),
+            dict(kind="topk", length=-1),
+            dict(kind="pprt", target=1, delta=0.1, length=-1),
+            dict(kind="pprt", target=1, delta=0.1, r_max=0.0),
+            dict(kind="pprt", target=1, delta=0.0),
+            dict(kind="pprt", delta=0.1),
+        ],
+        ids=[
+            "topk_k0",
+            "ppr_length0",
+            "topk_negative_length",
+            "pprt_negative_length",
+            "pprt_r_max0",
+            "pprt_delta0",
+            "pprt_no_target",
+        ],
+    )
+    def test_request_validates_its_own_fields(self, fields):
+        with pytest.raises(ConfigurationError):
+            QueryRequest(seed=0, **fields)
+
+    def test_submit_answers_every_kind_via_run_batch(self, service):
+        """``submit`` is a single-request ``run_batch``: its answer is the
+        cached batch answer for the same key, for every query kind."""
+        requests = [
+            QueryRequest(seed=1, k=3, length=WALK_LENGTH),
+            QueryRequest(kind="ppr", seed=2, length=WALK_LENGTH),
+            QueryRequest(kind="pprt", seed=3, target=5, delta=0.05),
+        ]
+        batched = service.run_batch(requests)
+        with RequestBatcher(service, max_workers=2) as batcher:
+            submitted = [batcher.submit(r).result() for r in requests]
+        for via_submit, via_batch in zip(submitted, batched):
+            assert via_submit is via_batch
+
+    def test_malformed_request_fails_at_construction_not_in_the_drain(
+        self, service
+    ):
+        """A ``k=0`` request is refused where it is built, so it can never
+        join a drain and fail the well-formed requests batched with it."""
+        drain = [QueryRequest(seed=s, k=3, length=WALK_LENGTH) for s in range(3)]
+        with pytest.raises(ConfigurationError, match="k must be positive"):
+            drain.append(QueryRequest(seed=4, k=0, length=WALK_LENGTH))
+        with RequestBatcher(service, max_workers=2) as batcher:
+            results = batcher.run(drain)
+        assert all(result is not None for result in results)
+        with pytest.raises(ConfigurationError):
+            service.top_k(0, 0)
 
     def test_restart_resets_counters_between_sessions(self, service):
         """Regression: ServeStats/CallStats outlive a batcher, so a second
@@ -681,27 +696,6 @@ class TestKernelBatchedServe:
         assert single is batched
         assert batched.walk_length > 0
 
-    def test_run_batch_without_kernel_matches_singles(self, service):
-        scalar_engine = QueryEngine(
-            service.engine, rng_seed=4, use_kernel=False
-        )
-        requests = [
-            QueryRequest(seed=s, k=3, length=WALK_LENGTH) for s in range(6)
-        ]
-        batched = scalar_engine.run_batch(requests)
-        twin = QueryEngine(
-            service.engine,
-            rng_seed=4,
-            use_kernel=False,
-            cache_results=False,
-        )
-        for request, result in zip(requests, batched):
-            single = twin.top_k(request.seed, request.k, length=request.length)
-            assert single.ranking == result.ranking
-        assert scalar_engine.stats.kernel_batches == 0
-        scalar_engine.detach()
-        twin.detach()
-
     def test_batcher_validates_max_kernel_batch(self, service):
         with pytest.raises(ConfigurationError):
             RequestBatcher(service, max_kernel_batch=0)
@@ -733,6 +727,7 @@ class TestKernelBatchedServe:
         )
 
     def test_batched_run_matches_legacy_run(self, service):
+        """A coalesced drain equals one future per request via ``submit``."""
         requests = [
             QueryRequest(seed=s % NODES, k=3, length=WALK_LENGTH)
             for s in range(20)
@@ -740,10 +735,9 @@ class TestKernelBatchedServe:
         with RequestBatcher(service, max_workers=3) as batched:
             threaded = batched.run(requests)
         legacy_engine = QueryEngine(service.engine, rng_seed=4)
-        with RequestBatcher(
-            legacy_engine, max_workers=3, kernel_batching=False
-        ) as legacy:
-            sequential = legacy.run(requests)
+        with RequestBatcher(legacy_engine, max_workers=3) as legacy:
+            futures = [legacy.submit(request) for request in requests]
+            sequential = [future.result() for future in futures]
         for a, b in zip(threaded, sequential):
             assert a.ranking == b.ranking
         assert service.stats.coalesced + legacy_engine.stats.coalesced > 0

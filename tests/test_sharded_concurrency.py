@@ -93,21 +93,20 @@ class TestConcurrentReadAttribution:
             backend, engine = _sharded_setup(workload[: len(workload) // 2])
             # shared fetch cache off: with it on, which thread fetches a
             # node first is racy (the walks stay identical, but the store
-            # op counts would not be reproducible).  Kernel batching off:
-            # this test compares the worker pool against the serial
-            # single-query path op for op, so every request must run as
-            # its own walk (a kernel drain would share node loads across
-            # the chunk — deliberately fewer reads; see the test below).
+            # op counts would not be reproducible).  One future per
+            # request: this test compares the worker pool against the
+            # serial single-query path op for op, so every request must
+            # run as its own walk (a kernel drain would share node loads
+            # across the chunk — deliberately fewer reads; see the test
+            # below).
             service = QueryEngine(engine, rng_seed=9, share_fetches=False)
             before = _shard_snapshots(backend)
             if threaded:
                 with RequestBatcher(
-                    service,
-                    max_workers=4,
-                    max_queue_depth=4096,
-                    kernel_batching=False,
+                    service, max_workers=4, max_queue_depth=4096
                 ) as batcher:
-                    results = batcher.run(requests)
+                    futures = [batcher.submit(r) for r in requests]
+                    results = [future.result() for future in futures]
             else:
                 results = [
                     service.top_k(r.seed, r.k, length=r.length)
