@@ -5,8 +5,8 @@
    simple one do, and how far does its estimate drift?).
 2. Activation probability: how well does the §2.2 formula
    ``1 − (1 − 1/d(u))^{W(u)}`` predict actual store calls?
-3. Fetch mode: full adjacency vs Remark 1's single-sampled-edge (≤ 2×
-   more fetches claimed).
+3. Fetch mode: full adjacency per fetch vs Remark 1's one sampled edge
+   per step (same walks, less adjacency traffic).
 4. Normalization: paper ``X/(nR/ε)`` vs empirical ``X/ΣX`` under dangling
    mass.
 
@@ -26,9 +26,10 @@ from repro.core.incremental import (
     REROUTE_RESIMULATE,
     IncrementalPageRank,
 )
-from repro.core.personalized import PersonalizedPageRank
+from repro.core.query_kernel import QueryKernel
 from repro.graph.arrival import RandomPermutationArrival
-from repro.store.pagerank_store import FETCH_SAMPLED_EDGE, PageRankStore
+from repro.store.backend import InMemoryGraphBackend
+from repro.store.pagerank_store import FETCH_FULL, FETCH_SAMPLED_EDGE, PageRankStore
 from repro.store.social_store import SocialStore
 from repro.workloads.twitter_like import twitter_like_graph
 
@@ -113,31 +114,55 @@ def test_ablation_activation_prediction(benchmark):
     )
 
 
+class _AdjacencyMeter(InMemoryGraphBackend):
+    """Counts the adjacency entries that full-mode fetches read."""
+
+    edges_read = 0
+
+    def out_neighbors(self, node):
+        adjacency = super().out_neighbors(node)
+        self.edges_read += len(adjacency)
+        return adjacency
+
+
 def test_ablation_fetch_mode(benchmark):
-    """Remark 1: sampled-edge fetches cost at most ~2x full fetches."""
+    """Remark 1: full adjacency per fetch vs one sampled edge per step.
+
+    The kernel walks the same trajectory in both modes, so fetches are
+    equal; the modes differ in how many edges leave the social store.
+    """
     size = (800, 9600) if FAST_MODE else (3000, 36_000)
     graph = twitter_like_graph(*size, rng=44)
 
-    def fetches_for(mode: str, seed: int) -> float:
-        store = PageRankStore(SocialStore.of_graph(graph), fetch_mode=mode)
+    def walk_with(mode: str):
+        backend = _AdjacencyMeter(graph)
+        store = PageRankStore(SocialStore(backend), fetch_mode=mode)
         engine = IncrementalPageRank(
             social_store=store.social_store,
             walks_per_node=10,
-            rng=seed,
+            rng=5,
             pagerank_store=store,
         )
         engine.initialize()
-        query = PersonalizedPageRank(store, rng=seed)
-        counts = [query.stitched_walk(s, 5000).fetches for s in (10, 20, 30)]
-        return float(np.mean(counts))
+        kernel = QueryKernel(store, reset_probability=engine.reset_probability)
+        backend.edges_read = 0
+        walks = [kernel.stitched_walk(s, 5000, rng_seed=6) for s in (10, 20, 30)]
+        sampled_reads = store.social_store.stats.count("random_out_neighbor")
+        return walks, backend.edges_read + sampled_reads
 
-    full = benchmark.pedantic(
-        lambda: fetches_for("full", 5), rounds=1, iterations=1
+    full, full_edges = benchmark.pedantic(
+        lambda: walk_with(FETCH_FULL), rounds=1, iterations=1
     )
-    sampled = fetches_for(FETCH_SAMPLED_EDGE, 6)
-    if not FAST_MODE:
-        assert sampled <= 2.5 * full + 5  # Remark 1's factor-2 (plus noise)
-    print(f"\nfull-mode fetches {full:.1f}, sampled-edge fetches {sampled:.1f}")
+    sampled, sampled_edges = walk_with(FETCH_SAMPLED_EDGE)
+    # same streams, same trajectories: only the store traffic differs
+    assert [w.visit_counts for w in sampled] == [w.visit_counts for w in full]
+    assert [w.fetches for w in sampled] == [w.fetches for w in full]
+    fetches = np.mean([w.fetches for w in full])
+    print(
+        f"\nfetches/walk {fetches:.1f} in both modes; edges read: "
+        f"full {full_edges / len(full):.1f}/walk, "
+        f"sampled {sampled_edges / len(sampled):.1f}/walk"
+    )
 
 
 def test_ablation_normalization(benchmark):

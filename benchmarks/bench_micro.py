@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.incremental import IncrementalPageRank
-from repro.core.personalized import PersonalizedPageRank
+from repro.core.query_kernel import QueryKernel
 from repro.core.salsa import IncrementalSALSA
 from repro.graph.csr import batch_reset_walks
 from repro.workloads.twitter_like import twitter_like_graph
@@ -94,10 +94,12 @@ def test_pagerank_read_latency(benchmark, engine):
 
 
 def test_stitched_walk_throughput(benchmark, engine):
-    query = PersonalizedPageRank(engine.pagerank_store, rng=17)
+    query = QueryKernel(engine.pagerank_store, reset_probability=0.2)
 
     walk = benchmark.pedantic(
-        lambda: query.stitched_walk(42, WALK_LENGTH), rounds=3, iterations=1
+        lambda: query.stitched_walk(42, WALK_LENGTH, rng_seed=17),
+        rounds=3,
+        iterations=1,
     )
     assert walk.length >= WALK_LENGTH
 

@@ -1,7 +1,7 @@
 """Observability overhead: the plane must be ~free when switched off.
 
 The ISSUE-7 acceptance: against a bare :class:`QueryKernel` (no registry,
-no tracer) on the B=64 Zipf batch workload of ``bench_query_kernel``,
+no tracer) on a B=64 Zipf batch of stitched walks,
 
 * a fully instrumented kernel with observability **disabled**
   (``REPRO_OBS=0``, the default) stays within **5%** — the gate is one

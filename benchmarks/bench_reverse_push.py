@@ -64,8 +64,11 @@ def _emit_json(result) -> None:
 
 
 def _best_of_interleaved(candidates, repeats):
-    """Best wall time per candidate, rounds interleaved (see
-    ``bench_query_kernel.py`` for why interleaving)."""
+    """Best wall time per candidate, rounds interleaved.
+
+    Interleaving keeps transient machine slowdowns from biasing one side
+    of a ratio: every candidate sees every round's conditions.
+    """
     best = {name: float("inf") for name in candidates}
     for _ in range(repeats):
         for name, function in candidates.items():

@@ -64,7 +64,11 @@ PARAMS = (
 
 
 def _best_of_interleaved(candidates, repeats):
-    """Best wall time per candidate, rounds interleaved (see bench_query_kernel)."""
+    """Best wall time per candidate, rounds interleaved.
+
+    Interleaving keeps transient machine slowdowns from biasing one side
+    of a ratio: every candidate sees every round's conditions.
+    """
     best = {name: float("inf") for name in candidates}
     for round_index in range(repeats):
         for name, function in candidates.items():

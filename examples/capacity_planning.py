@@ -15,7 +15,7 @@ import argparse
 
 from repro.core import theory
 from repro.core.incremental import IncrementalPageRank
-from repro.core.personalized import PersonalizedPageRank
+from repro.core.query_kernel import QueryKernel
 from repro.graph.arrival import RandomPermutationArrival
 from repro.store.pagerank_store import PageRankStore
 from repro.store.sharded import ShardedGraphBackend
@@ -78,10 +78,10 @@ def measure(nodes: int, edges: int, walks: int, eps: float, seed: int) -> None:
         f"({engine.total_steps_resimulated / len(growth):.2f}/arrival)"
     )
 
-    query = PersonalizedPageRank(store, rng=seed)
+    query = QueryKernel(store, reset_probability=eps)
     before = store.fetch_count
     for user in range(40, 40 + 20):
-        query.top_k(user, 20, 4000, exclude_friends=True)
+        query.stitched_walk(user, 4000, rng_seed=seed)
     fetches = store.fetch_count - before
     print(f"20 top-20 queries used {fetches} fetches ({fetches / 20:.1f}/query)")
 

@@ -4,7 +4,7 @@
 Run:  python examples/quickstart.py
 """
 
-from repro import IncrementalPageRank, PersonalizedPageRank
+from repro import IncrementalPageRank, QueryKernel, top_k_of_walk
 from repro.workloads.twitter_like import twitter_like_graph
 
 
@@ -32,14 +32,17 @@ def main() -> None:
     print(f"…and unfollowed: {report.segments_rerouted} segments repaired")
 
     # 4. Personalized queries stitch the stored segments: few DB fetches.
-    ppr = PersonalizedPageRank(engine.pagerank_store, rng=7)
+    store = engine.pagerank_store
     seed = 1_234
-    walk = ppr.top_k(seed, k=10, length=5_000, exclude_friends=True)
+    walk = QueryKernel(store, reset_probability=0.2).stitched_walk(
+        seed, 5_000, rng=7
+    )
+    top = top_k_of_walk(store, walk, 10, 5_000)  # seed and friends excluded
     print(f"\nwho should user {seed} follow?")
-    for node, visits in walk.top(10):
+    for node, visits in top.ranking:
         print(f"  user {node:>5}  (visited {visits}x by the personalized walk)")
     print(
-        f"walk length 5000, database fetches: {walk.fetches} "
+        f"walk length 5000, database fetches: {top.fetches} "
         f"(stitching reused {walk.segments_used} stored segments)"
     )
 

@@ -22,6 +22,7 @@ import time
 
 from repro.core.incremental import IncrementalPageRank
 from repro.core.query_kernel import QueryKernel
+from repro.core.topk import top_k_of_walk
 from repro.serve import (
     QueryEngine,
     QueryRequest,
@@ -85,14 +86,11 @@ def main() -> None:
     )
     reference = QueryKernel(engine.pagerank_store, reset_probability=args.eps)
     served = service.top_k(seed, 10, length=args.length)
-    recomputed = reference.batch_top_k(
-        [seed],
-        10,
-        length=args.length,
-        exclude_friends=True,
-        rngs=[service.query_rng(seed, args.length)],
-    )[0]
-    assert served.ranking == recomputed.ranking
+    walk = reference.stitched_walk(
+        seed, args.length, rng=service.query_rng(seed, args.length)
+    )
+    recomputed = top_k_of_walk(engine.pagerank_store, walk, 10, args.length)
+    assert served == recomputed
     print("served ranking == cache-free recompute on the updated store\n")
 
     # -- 3. a Zipf query storm through the batcher ---------------------

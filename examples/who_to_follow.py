@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro.core.salsa import IncrementalSALSA, PersonalizedSALSA
+from repro.core.query_kernel import SalsaQueryKernel
+from repro.core.salsa import IncrementalSALSA
 from repro.workloads.seeds import users_with_friend_count
 from repro.workloads.twitter_like import twitter_like_stream
 
@@ -54,11 +55,11 @@ def main() -> None:
     seeds = users_with_friend_count(
         graph, minimum=10, maximum=40, count=args.users, rng=args.seed
     )
-    salsa_query = PersonalizedSALSA(engine.pagerank_store, rng=args.seed)
+    salsa_query = SalsaQueryKernel(engine.pagerank_store, reset_probability=0.2)
 
     def recommend(user: int, banner: str) -> None:
         friends = set(graph.out_view(user))
-        walk = salsa_query.stitched_walk(user, 8_000)
+        walk = salsa_query.stitched_walk(user, 8_000, rng_seed=args.seed)
         picks = walk.top_authorities(5, exclude={user, *friends})
         print(f"  {banner} user {user} (follows {len(friends)}): ", end="")
         print(

@@ -8,7 +8,7 @@ segments with provably few database fetches.
 
 Quickstart::
 
-    from repro import IncrementalPageRank, PersonalizedPageRank
+    from repro import IncrementalPageRank, QueryKernel, top_k_of_walk
     from repro.graph import directed_preferential_attachment
 
     graph = directed_preferential_attachment(10_000, rng=7)
@@ -16,9 +16,10 @@ Quickstart::
     engine.add_edge(3, 1729)            # O(1/t)-ish amortized maintenance
     print(engine.top(10))               # always-fresh global PageRank
 
-    ppr = PersonalizedPageRank(engine.pagerank_store, rng=7)
-    walk = ppr.top_k(seed=42, k=20, length=5_000, exclude_friends=True)
-    print(walk.top(20), walk.fetches)   # fetches ≪ walk length (Thm 8)
+    store = engine.pagerank_store
+    walk = QueryKernel(store).stitched_walk(42, 5_000, rng=7)
+    top = top_k_of_walk(store, walk, 20, 5_000)  # seed and friends excluded
+    print(top.ranking, top.fetches)     # fetches ≪ walk length (Thm 8)
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every figure and table.
@@ -31,8 +32,6 @@ from repro.core import (
     IncrementalPageRank,
     IncrementalSALSA,
     MonteCarloPageRank,
-    PersonalizedPageRank,
-    PersonalizedSALSA,
     PprToTargetResult,
     QueryKernel,
     ReversePushEngine,
@@ -46,7 +45,7 @@ from repro.core import (
     WalkStore,
     make_walk_store,
     theory,
-    top_k_personalized,
+    top_k_of_walk,
 )
 from repro.errors import ReproError
 from repro.graph import DynamicDiGraph
@@ -79,8 +78,6 @@ __all__ = [
     "MonteCarloPageRank",
     "IncrementalPageRank",
     "IncrementalSALSA",
-    "PersonalizedPageRank",
-    "PersonalizedSALSA",
     "QueryKernel",
     "SalsaQueryKernel",
     "ReversePushEngine",
@@ -90,7 +87,7 @@ __all__ = [
     "BatchUpdateReport",
     "StalenessScheduler",
     "TopKResult",
-    "top_k_personalized",
+    "top_k_of_walk",
     "QueryEngine",
     "RequestBatcher",
     "ServeStats",

@@ -15,11 +15,7 @@ from repro.core.incremental import (
     UpdateReport,
 )
 from repro.core.monte_carlo import MonteCarloPageRank, build_walk_store
-from repro.core.personalized import (
-    FetchCache,
-    PersonalizedPageRank,
-    StitchedWalkResult,
-)
+from repro.core.personalized import FetchCache, StitchedWalkResult
 from repro.core.query_kernel import QueryKernel, SalsaQueryKernel
 from repro.core.reverse_push import (
     BidirectionalKernel,
@@ -29,7 +25,6 @@ from repro.core.reverse_push import (
 )
 from repro.core.salsa import (
     IncrementalSALSA,
-    PersonalizedSALSA,
     SalsaWalkResult,
     batch_salsa_walks,
     simulate_salsa_walk,
@@ -48,7 +43,7 @@ from repro.core.sharded_walks import (
 from repro.core.topk import (
     TopKResult,
     top_k_dense,
-    top_k_personalized,
+    top_k_of_walk,
     walk_length_for_top_k,
 )
 from repro.core.walks import (
@@ -93,9 +88,7 @@ __all__ = [
     "REPAIR_REPLAY",
     "REPAIR_COALESCE",
     "IncrementalSALSA",
-    "PersonalizedSALSA",
     "SalsaWalkResult",
-    "PersonalizedPageRank",
     "StitchedWalkResult",
     "FetchCache",
     "QueryKernel",
@@ -106,6 +99,6 @@ __all__ = [
     "PprToTargetResult",
     "TopKResult",
     "top_k_dense",
-    "top_k_personalized",
+    "top_k_of_walk",
     "walk_length_for_top_k",
 ]

@@ -374,7 +374,7 @@ class IncrementalPageRank:
 
         ``dirty_nodes`` is the set of nodes whose *served* state may have
         changed — out-adjacency (event sources), in-adjacency (event
-        targets, for ``include_in_neighbors`` stores), rewritten stored
+        targets), rewritten stored
         segments (keyed by the segment's start node), or newly created
         nodes.  A query whose walk never read any dirty node is provably
         unaffected by the mutation.  ``dirty_nodes=None`` means "assume

@@ -17,9 +17,10 @@ walk segments already stored for global PageRank:
 Dangling nodes reset to the seed (standard PPR-with-restart convention;
 the paper's Twitter graph makes the case vanishingly rare).
 
-The result object records everything the experiments need: per-node visit
-counts, the fetch count, and the composition of the walk (segment visits
-vs single steps vs resets).
+The walker is :class:`repro.core.query_kernel.QueryKernel`.  This module
+holds what it shares with its callers: the walk's result object (per-node
+visit counts, the fetch count, and the composition of the walk — segment
+visits vs single steps vs resets) and the cross-query fetch cache.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.errors import ConfigurationError
 from repro.rng import RngLike, ensure_rng
 from repro.store.pagerank_store import FETCH_FULL, PageRankStore
 
-__all__ = ["FetchCache", "PersonalizedPageRank", "StitchedWalkResult"]
+__all__ = ["FetchCache", "StitchedWalkResult"]
 
 
 @dataclass
@@ -44,15 +45,7 @@ class _FetchedState:
 
     neighbors: list[int]
     segments: list[list[int]]
-    next_unused: int = 0
     out_degree: int = 0
-
-    def take_segment(self) -> Optional[list[int]]:
-        if self.next_unused < len(self.segments):
-            segment = self.segments[self.next_unused]
-            self.next_unused += 1
-            return segment
-        return None
 
 
 class FetchCache:
@@ -70,8 +63,8 @@ class FetchCache:
     engine marks dirty (see
     :meth:`repro.core.incremental.IncrementalPageRank.add_update_listener`).
     Only ``full`` fetch mode is cacheable — Remark 1's ``sampled_edge``
-    mode draws a fresh random edge per fetch, so its results are not
-    reusable (and consume RNG, which would break replayability).
+    mode reads a fresh sampled edge per step, so there is no adjacency
+    to reuse.
 
     Thread-safe: the serving layer's worker pool shares one instance.
     ``capacity=None`` means unbounded; otherwise least-recently-used
@@ -240,161 +233,3 @@ class StitchedWalkResult:
             key=lambda pair: (-pair[1], pair[0]),
         )
         return ranked[:k]
-
-
-class PersonalizedPageRank:
-    """Algorithm-1 query engine over a :class:`PageRankStore`."""
-
-    def __init__(
-        self,
-        pagerank_store: PageRankStore,
-        *,
-        reset_probability: float = 0.2,
-        rng: RngLike = None,
-    ) -> None:
-        if not 0.0 < reset_probability <= 1.0:
-            raise ConfigurationError(
-                f"reset_probability must be in (0, 1], got {reset_probability}"
-            )
-        self.store = pagerank_store
-        self.reset_probability = reset_probability
-        self._rng = ensure_rng(rng)
-
-    def stitched_walk(
-        self,
-        seed: int,
-        length: int,
-        *,
-        rng: RngLike = None,
-        use_segments: bool = True,
-    ) -> StitchedWalkResult:
-        """Run Algorithm 1 from ``seed`` until the path reaches ``length``.
-
-        ``use_segments=False`` disables splicing (the "crude way" of
-        Remark 2: every step pays its own store traffic), which is the
-        baseline the fetch experiments compare against.
-        """
-        if length <= 0:
-            raise ConfigurationError(f"length must be positive, got {length}")
-        generator = ensure_rng(rng) if rng is not None else self._rng
-        reset_probability = self.reset_probability
-
-        result = StitchedWalkResult(
-            seed=seed, length=0, visit_counts=Counter(), fetches=0
-        )
-        fetched: dict[int, _FetchedState] = {}
-        counts = result.visit_counts
-
-        current = seed
-        counts[seed] += 1
-        result.length = 1
-
-        while result.length < length:
-            if generator.random() < reset_probability:
-                current = seed
-                counts[seed] += 1
-                result.length += 1
-                result.resets += 1
-                continue
-
-            state = fetched.get(current)
-            if state is None:
-                fetched[current] = self._fetch(current, generator)
-                result.fetches += 1
-                continue  # re-enter the loop with the node now in memory
-
-            segment = state.take_segment() if use_segments else None
-            if segment is not None:
-                appended = len(segment) - 1  # segment[0] is `current` itself
-                for node in segment[1:]:
-                    counts[node] += 1
-                result.length += appended
-                result.segment_steps += appended
-                result.segments_used += 1
-                # The segment ended with its own reset; jump back to seed.
-                current = seed
-                counts[seed] += 1
-                result.length += 1
-                result.resets += 1
-                continue
-
-            if state.out_degree == 0:
-                # Dangling: reset to the seed (PPR-with-restart convention).
-                current = seed
-                counts[seed] += 1
-                result.length += 1
-                result.resets += 1
-                continue
-
-            current = self._step(current, state, generator)
-            counts[current] += 1
-            result.length += 1
-            result.plain_steps += 1
-
-        return result
-
-    def _fetch(self, node: int, rng: np.random.Generator) -> _FetchedState:
-        fetch = self.store.fetch(node, rng)
-        return _FetchedState(
-            neighbors=list(fetch.neighbors),
-            segments=fetch.segments,
-            out_degree=fetch.out_degree,
-        )
-
-    def _step(
-        self, node: int, state: _FetchedState, rng: np.random.Generator
-    ) -> int:
-        if self.store.fetch_mode == FETCH_FULL:
-            return state.neighbors[int(rng.integers(len(state.neighbors)))]
-        # Remark-1 mode: the fetch carried one sampled edge; further steps
-        # at this node must sample fresh edges from the social store.
-        if state.neighbors:
-            sampled = state.neighbors[0]
-            state.neighbors = []
-            return sampled
-        return self.store.social_store.random_out_neighbor(node, rng)
-
-    # ------------------------------------------------------------------
-
-    def scores(
-        self,
-        seed: int,
-        length: int,
-        *,
-        rng: RngLike = None,
-    ) -> np.ndarray:
-        """Personalized PageRank estimates (visit frequencies) for ``seed``."""
-        walk = self.stitched_walk(seed, length, rng=rng)
-        return walk.frequencies(self.store.social_store.num_nodes)
-
-    def top_k(
-        self,
-        seed: int,
-        k: int,
-        length: int,
-        *,
-        exclude_seed: bool = True,
-        exclude_friends: bool = False,
-        rng: RngLike = None,
-    ) -> StitchedWalkResult:
-        """Run a walk sized for a top-``k`` query and leave ranking to caller.
-
-        ``exclude_friends`` reproduces the paper's evaluation protocol
-        (recommendation systems never surface existing friends).
-        The walk result is returned so fetch counts stay inspectable;
-        call ``.top(k, exclude=...)`` on it for the ranking.
-        """
-        walk = self.stitched_walk(seed, length, rng=rng)
-        excluded: set[int] = set()
-        if exclude_seed:
-            excluded.add(seed)
-        if exclude_friends:
-            excluded.update(self.store.social_store.out_neighbors(seed))
-        walk.visit_counts = Counter(
-            {
-                node: count
-                for node, count in walk.visit_counts.items()
-                if node not in excluded
-            }
-        )
-        return walk

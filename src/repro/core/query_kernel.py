@@ -1,31 +1,33 @@
-"""Vectorized multi-seed PPR query kernel — batch walk stitching (DESIGN.md §10).
+"""The Algorithm-1 walker: batch walk stitching over the stores (DESIGN.md §10).
 
-PRs 1–4 vectorized walk *building* and *repair*; this module vectorizes the
-paper's §3 query path.  The scalar reference
-(:meth:`repro.core.personalized.PersonalizedPageRank.stitched_walk`) runs
-Algorithm 1 one Python step at a time: a scalar RNG call per coin, a store
-fetch materializing every segment as a Python list once per walk, and one
-``Counter`` update per visited node.  Serving throughput is therefore
-bounded by the interpreter, not the hardware.  :class:`QueryKernel`
-advances ``B`` concurrent stitched walks as frontier passes and moves all
-O(visits) work into numpy:
+:class:`QueryKernel` is the only personalized-PageRank walker in the
+library (:class:`SalsaQueryKernel` is its alternating-walk sibling); every
+served answer, experiment and estimator walks through it.  It advances
+``B`` stitched walks per call and moves all O(visits) work into numpy:
 
 * **Per-stream block RNG** — each walk consumes uniforms from its own
-  generator in blocks of :attr:`rng_block` draws instead of one scalar
-  call per coin; a plain step's neighbour choice spends one uniform
-  (``int(u · d)``, the same draw :func:`repro.graph.csr.batch_reset_walks`
-  uses) instead of a scalar ``Generator.integers`` call.
+  generator in blocks of 256 draws instead of one scalar call per coin; a
+  plain step's neighbour choice spends one uniform (``int(u · d)``, the
+  same draw :func:`repro.graph.csr.batch_reset_walks` uses).
 * **Bulk segment lookup** — node payloads (adjacency + stored segment
   tails) are loaded **once per batch** through
   :meth:`~repro.core.walks.WalkIndex.segment_views_starting_at`: zero-copy
   arena views on the columnar backend, a single-shard gather on
-  :class:`~repro.core.sharded_walks.ShardedWalkIndex`.  The reference pays
-  this materialization once per walk per node.
+  :class:`~repro.core.sharded_walks.ShardedWalkIndex`.
 * **Vectorized visit accumulation** — a splice appends the segment's
   arena *view* to a chunk list (O(1) Python work regardless of segment
   length); all per-walk visit counts are reduced at the end with one
   combined-key sort + run-length encode + ``np.bincount`` pass, never a
   per-visit ``Counter`` update.
+
+**Remark 1 (sampled-edge fetches).**  On a ``fetch_mode='sampled_edge'``
+store a node's payload carries its out-degree instead of its adjacency,
+and every plain step reads one out-edge from the social store (one
+``random_out_neighbor`` op), indexed by the walk's own ``int(u · d)``
+uniform.  The walk loop is the same in both modes, so a sampled-mode walk
+is bit-identical to the full-mode walk on the same stream; only the store
+traffic differs.  A :class:`~repro.core.personalized.FetchCache` holds
+whole adjacency lists, which this mode never reads, so it is refused.
 
 **RNG stream contract (normative).**  Each query walks with its own
 ``np.random.Generator`` stream — by default spawned from the query's
@@ -37,20 +39,22 @@ counts whether it runs alone, in any batch, in any position, on any
 :class:`~repro.core.walks.WalkIndex` backend (the normative enumeration
 orders make the consumed store state identical across backends).
 
-**Relation to the reference.**  The kernel consumes its streams in the
-same trajectory order as the reference (one uniform per ε-coin, then one
-per plain step) but the reference draws plain steps via
-``Generator.integers``, which consumes raw bit-stream words rather than
-doubles.  Kernel and reference walks are therefore *distributionally*
-equivalent in general, and **bit-identical whenever the walk takes no
-plain step** (every visited node still holds an unused segment, or is
-dangling) — then both sides consume only ε-coin doubles, in the same
-order.  ``tests/test_query_kernel.py`` pins both properties down.
+**Relation to the reference.**  The scalar one-step-at-a-time
+Algorithm-1 walker lives in ``tests/reference_walkers.py`` as the test
+oracle.  The kernel consumes its streams in the same trajectory order
+(one uniform per ε-coin, then one per plain step) but the reference draws
+plain steps via ``Generator.integers``, which consumes raw bit-stream
+words rather than doubles.  Kernel and reference walks are therefore
+*distributionally* equivalent in general, and **bit-identical whenever
+the walk takes no plain step** (every visited node still holds an unused
+segment, or is dangling) — then both sides consume only ε-coin doubles,
+in the same order.  ``tests/test_query_kernel.py`` pins both properties
+down.
 
 Fetch accounting: ``StitchedWalkResult.fetches`` / ``cached_fetches``
-count per-walk first visits exactly as a sequential reference replay
-(through the same shared :class:`~repro.core.personalized.FetchCache`, if
-one is given) would have counted them, while
+count per-walk first visits exactly as a sequential replay (through the
+same shared :class:`~repro.core.personalized.FetchCache`, if one is
+given) would have counted them, while
 :attr:`PageRankStore.stats <repro.store.pagerank_store.PageRankStore>`
 bills only the *physical* fetches the kernel actually performed — one per
 distinct node per batch — because not re-fetching is precisely the win.
@@ -65,7 +69,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core import theory
 from repro.core.personalized import (
     FetchCache,
     StitchedWalkResult,
@@ -78,7 +81,6 @@ from repro.core.reverse_push import (
     default_walk_length,
 )
 from repro.core.salsa import SalsaWalkResult
-from repro.core.topk import TopKResult, walk_length_for_top_k
 from repro.core.walks import SIDE_HUB
 from repro.errors import ConfigurationError
 from repro.obs.profile import StageProfiler
@@ -87,8 +89,9 @@ from repro.store.pagerank_store import FETCH_FULL, PageRankStore
 
 __all__ = ["QueryKernel", "SalsaQueryKernel"]
 
-#: Uniforms drawn per refill of a walk's private stream buffer.
-_DEFAULT_RNG_BLOCK = 256
+#: Uniforms drawn per refill of a walk's private stream buffer.  Drawing a
+#: block changes no individual draw, so no result depends on its size.
+_RNG_BLOCK = 256
 
 
 class _NodeInfo:
@@ -110,6 +113,25 @@ class _NodeInfo:
         #: Whether a sequential reference replay would find this node in
         #: the shared fetch cache (flips True after the first walk pays).
         self.cached = cached
+
+
+class _SampledEdges:
+    """Remark 1's neighbour view: each index read is one sampled out-edge.
+
+    Stands in for the adjacency list of a ``sampled_edge`` payload.  The
+    walk indexes it with its own ``int(u · d)`` uniform; every read bills
+    one ``random_out_neighbor`` op to the social store.
+    """
+
+    __slots__ = ("social", "node")
+
+    def __init__(self, social, node):
+        self.social = social
+        self.node = node
+
+    def __getitem__(self, index):
+        self.social.stats.record("random_out_neighbor")
+        return self.social.graph.out_view(self.node)[index]
 
 
 class _SalsaNodeInfo:
@@ -213,32 +235,36 @@ def _per_walk_visit_counts(
     return _counts_per_walk(owner_parts, node_parts, num_walks), segment_steps
 
 
-def _rank_arrays(
-    nodes: np.ndarray, visits: np.ndarray, k: int, excluded
-) -> list[tuple[int, int]]:
-    """``StitchedWalkResult.top``'s exact ranking, computed on arrays.
+def _resolve_walks(seeds, lengths, rngs, rng_seed):
+    """Validate a batch; returns ``(seeds, target lengths, generators)``.
 
-    Sort key ``(-visits, node)`` — identical output to the Counter path,
-    one ``lexsort`` instead of a per-item Python comparison sort.
+    ``lengths`` is one length for the batch or one per seed.  Without
+    ``rngs``, each walk gets the default per-query stream
+    ``default_rng([rng_seed, seed, length])``.
     """
-    if excluded:
-        keep = ~np.isin(
-            nodes, np.fromiter(excluded, dtype=np.int64, count=len(excluded))
-        )
-        nodes = nodes[keep]
-        visits = visits[keep]
-    order = np.lexsort((nodes, -visits))[:k]
-    return list(zip(nodes[order].tolist(), visits[order].tolist()))
-
-
-def _derived_rngs(
-    seeds: Sequence[int], lengths: Sequence[int], rng_seed: int
-) -> list[np.random.Generator]:
-    """The default per-query streams: ``default_rng([rng_seed, seed, len])``."""
-    return [
-        np.random.default_rng([rng_seed, int(seed), int(length)])
-        for seed, length in zip(seeds, lengths)
-    ]
+    seeds = [int(seed) for seed in seeds]
+    num_walks = len(seeds)
+    if isinstance(lengths, (int, np.integer)):
+        targets = [int(lengths)] * num_walks
+    else:
+        targets = [int(length) for length in lengths]
+        if len(targets) != num_walks:
+            raise ConfigurationError(
+                f"{num_walks} seeds but {len(targets)} lengths"
+            )
+    for target in targets:
+        if target <= 0:
+            raise ConfigurationError(f"length must be positive, got {target}")
+    if rngs is None:
+        generators = [
+            np.random.default_rng([rng_seed, seed, target])
+            for seed, target in zip(seeds, targets)
+        ]
+    else:
+        if len(rngs) != num_walks:
+            raise ConfigurationError(f"{num_walks} seeds but {len(rngs)} rngs")
+        generators = [ensure_rng(rng) for rng in rngs]
+    return seeds, targets, generators
 
 
 class QueryKernel:
@@ -249,7 +275,6 @@ class QueryKernel:
         pagerank_store: PageRankStore,
         *,
         reset_probability: float = 0.2,
-        rng_block: int = _DEFAULT_RNG_BLOCK,
         registry=None,
         tracer=None,
     ) -> None:
@@ -257,18 +282,8 @@ class QueryKernel:
             raise ConfigurationError(
                 f"reset_probability must be in (0, 1], got {reset_probability}"
             )
-        if pagerank_store.fetch_mode != FETCH_FULL:
-            raise ConfigurationError(
-                "QueryKernel requires fetch_mode='full' (sampled_edge fetches "
-                "are single-use draws; use the scalar reference walker)"
-            )
-        if rng_block < 2:
-            raise ConfigurationError(
-                f"rng_block must be at least 2, got {rng_block}"
-            )
         self.store = pagerank_store
         self.reset_probability = reset_probability
-        self.rng_block = rng_block
         #: Observability plane (DESIGN.md §12).  With a registry attached,
         #: stage profiling (rng_draw / segment_gather / reduce) activates
         #: at REPRO_OBS >= 1; spans (kernel.batch, store.fetch) at >= 2 via
@@ -328,7 +343,13 @@ class QueryKernel:
             else None
         )
         views = store.walks.segment_views_starting_at(node)
-        neighbors = list(store.social_store.out_neighbors(node))
+        social = store.social_store
+        if store.fetch_mode == FETCH_FULL:
+            neighbors = list(social.out_neighbors(node))
+            degree = len(neighbors)
+        else:  # Remark 1: the degree now, one sampled edge per plain step
+            neighbors = _SampledEdges(social, node)
+            degree = social.out_degree(node)
         if span is not None:
             tracer.finish_leaf(span)
         if fetch_cache is not None:
@@ -337,11 +358,11 @@ class QueryKernel:
                 _FetchedState(
                     neighbors=list(neighbors),
                     segments=[view.tolist() for view in views],
-                    out_degree=len(neighbors),
+                    out_degree=degree,
                 ),
                 guard_version=cache_guard,
             )
-        return _NodeInfo(views, neighbors, len(neighbors), False)
+        return _NodeInfo(views, neighbors, degree, False)
 
     # ------------------------------------------------------------------
     # The batch engine
@@ -365,33 +386,14 @@ class QueryKernel:
         docstring's RNG contract).  Walks may overshoot their target by a
         final segment splice, exactly like the reference.
         """
-        seeds = [int(seed) for seed in seeds]
+        seeds, targets, generators = _resolve_walks(
+            seeds, lengths, rngs, rng_seed
+        )
         num_walks = len(seeds)
-        if isinstance(lengths, (int, np.integer)):
-            targets = [int(lengths)] * num_walks
-        else:
-            targets = [int(length) for length in lengths]
-            if len(targets) != num_walks:
-                raise ConfigurationError(
-                    f"{num_walks} seeds but {len(targets)} lengths"
-                )
-        for target in targets:
-            if target <= 0:
-                raise ConfigurationError(
-                    f"length must be positive, got {target}"
-                )
         if fetch_cache is not None and self.store.fetch_mode != FETCH_FULL:
             raise ConfigurationError(
                 "fetch_cache requires a store with fetch_mode='full'"
             )
-        if rngs is None:
-            generators = _derived_rngs(seeds, targets, rng_seed)
-        else:
-            if len(rngs) != num_walks:
-                raise ConfigurationError(
-                    f"{num_walks} seeds but {len(rngs)} rngs"
-                )
-            generators = [ensure_rng(rng) for rng in rngs]
         if num_walks == 0:
             return []
         tracer = self.tracer
@@ -418,7 +420,7 @@ class QueryKernel:
         """Advance every walk to completion; returns the raw event streams."""
         num_walks = len(seeds)
         eps = self.reset_probability
-        block = self.rng_block
+        block = _RNG_BLOCK
         cache_guard = fetch_cache.version if fetch_cache is not None else 0
         shared_fetch = fetch_cache is not None
         # Stage profiling (REPRO_OBS >= 1): the enabled check runs once per
@@ -717,129 +719,6 @@ class QueryKernel:
             fetch_cache=fetch_cache,
         )[0]
 
-    def batch_scores(
-        self,
-        seeds: Sequence[int],
-        length: int,
-        *,
-        rngs: Optional[Sequence[RngLike]] = None,
-        rng_seed: int = 0,
-        fetch_cache: Optional[FetchCache] = None,
-    ) -> np.ndarray:
-        """Personalized PageRank estimates, one dense row per seed.
-
-        Row ``i`` equals
-        ``batch_stitched_walks(...)[i].frequencies(num_nodes)`` — computed
-        without materializing per-walk ``Counter`` objects into a loop.
-        """
-        walks = self.batch_stitched_walks(
-            seeds, length, rngs=rngs, rng_seed=rng_seed, fetch_cache=fetch_cache
-        )
-        num_nodes = self.store.social_store.num_nodes
-        matrix = np.zeros((len(walks), num_nodes), dtype=np.float64)
-        for row, walk in enumerate(walks):
-            matrix[row] = walk.frequencies(num_nodes)
-        return matrix
-
-    def batch_top_k(
-        self,
-        seeds: Sequence[int],
-        k: int,
-        *,
-        alpha: float = 0.77,
-        c: float = 5.0,
-        exclude_friends: bool = True,
-        length: Optional[int] = None,
-        rngs: Optional[Sequence[RngLike]] = None,
-        rng_seed: int = 0,
-        fetch_cache: Optional[FetchCache] = None,
-    ) -> list[TopKResult]:
-        """Top-``k`` rankings for many seeds in one kernel invocation.
-
-        Mirrors :func:`repro.core.topk.top_k_personalized` per seed
-        (Equation-4 walk sizing, seed/friend exclusion, Corollary-9
-        bound); ``fetches`` reports the walk's first-visit count — the
-        cost a per-walk serving tier would have paid.  Rankings are
-        computed straight from the kernel's reduced count arrays (the
-        seed — always excluded — never needs its Counter materialized),
-        and are identical to ``batch_stitched_walks(...)[i].top(k, ...)``.
-        """
-        if k <= 0:
-            raise ConfigurationError(f"k must be positive, got {k}")
-        social = self.store.social_store
-        walk_length = (
-            length
-            if length is not None
-            else walk_length_for_top_k(k, social.num_nodes, alpha, c)
-        )
-        seeds = [int(seed) for seed in seeds]
-        if walk_length <= 0:
-            raise ConfigurationError(
-                f"length must be positive, got {walk_length}"
-            )
-        if rngs is None:
-            generators = _derived_rngs(
-                seeds, [walk_length] * len(seeds), rng_seed
-            )
-        else:
-            if len(rngs) != len(seeds):
-                raise ConfigurationError(
-                    f"{len(seeds)} seeds but {len(rngs)} rngs"
-                )
-            generators = [ensure_rng(rng) for rng in rngs]
-        if not seeds:
-            return []
-        tracer = self.tracer
-        span = (
-            tracer.span("kernel.batch", walks=len(seeds), kind="top_k")
-            if tracer is not None and tracer.enabled
-            else nullcontext()
-        )
-        with span:
-            if self._batch_counter is not None:
-                self._batch_counter.inc()
-                self._walk_counter.inc(len(seeds))
-            raw = self._run(
-                seeds, [walk_length] * len(seeds), generators, True, fetch_cache
-            )
-            fetches = raw[5]
-            chunk_counts, chunk_tails, step_counts, step_nodes = raw[7:]
-            profiler = self.profiler
-            if profiler is not None and profiler.enabled:
-                start = perf_counter()
-                per_walk, _ = _per_walk_visit_counts(
-                    len(seeds), chunk_counts, chunk_tails, step_counts, step_nodes
-                )
-                profiler.record("reduce", perf_counter() - start)
-            else:
-                per_walk, _ = _per_walk_visit_counts(
-                    len(seeds), chunk_counts, chunk_tails, step_counts, step_nodes
-                )
-        results = []
-        for walk_index, seed in enumerate(seeds):
-            excluded = {seed}
-            if exclude_friends:
-                excluded.update(social.out_neighbors(seed))
-            walks_at_seed = max(
-                len(self.store.walks.segments_starting_at(seed)), 1
-            )
-            nodes_b, counts_b = per_walk[walk_index]
-            results.append(
-                TopKResult(
-                    seed=seed,
-                    k=k,
-                    ranking=_rank_arrays(nodes_b, counts_b, k, excluded),
-                    walk_length=walk_length,
-                    fetches=fetches[walk_index],
-                    fetch_bound=theory.cor9_topk_fetch_bound(
-                        k, alpha, c, walks_at_seed
-                    ),
-                    alpha=alpha,
-                    c=c,
-                )
-            )
-        return results
-
     def batch_ppr_to_target(
         self,
         seeds: Sequence[int],
@@ -929,9 +808,8 @@ class SalsaQueryKernel:
 
     Same architecture — per-walk uniform streams, once-per-batch node
     payloads, chunked visit assembly — specialized to the alternating
-    hub/authority walk of
-    :class:`~repro.core.salsa.PersonalizedSALSA`: ε-coins are flipped at
-    hub visits only, stored segments splice from the side-matching pool
+    hub/authority walk of personalized SALSA: ε-coins are flipped at hub
+    visits only, stored segments splice from the side-matching pool
     (consumed from the end, like the reference), and every recorded visit
     carries its side parity so hub/authority counts reduce in one
     vectorized pass.
@@ -942,7 +820,6 @@ class SalsaQueryKernel:
         pagerank_store: PageRankStore,
         *,
         reset_probability: float = 0.2,
-        rng_block: int = _DEFAULT_RNG_BLOCK,
     ) -> None:
         if not pagerank_store.walks.track_sides:
             raise ConfigurationError(
@@ -955,7 +832,6 @@ class SalsaQueryKernel:
             )
         self.store = pagerank_store
         self.reset_probability = reset_probability
-        self.rng_block = rng_block
 
     def _load_node(self, node: int) -> _SalsaNodeInfo:
         store = self.store
@@ -986,34 +862,15 @@ class SalsaQueryKernel:
         rng_seed: int = 0,
     ) -> list[SalsaWalkResult]:
         """Run one personalized-SALSA walk per seed, batched."""
-        seeds = [int(seed) for seed in seeds]
+        seeds, targets, generators = _resolve_walks(
+            seeds, lengths, rngs, rng_seed
+        )
         num_walks = len(seeds)
-        if isinstance(lengths, (int, np.integer)):
-            targets = [int(lengths)] * num_walks
-        else:
-            targets = [int(length) for length in lengths]
-            if len(targets) != num_walks:
-                raise ConfigurationError(
-                    f"{num_walks} seeds but {len(targets)} lengths"
-                )
-        for target in targets:
-            if target <= 0:
-                raise ConfigurationError(
-                    f"length must be positive, got {target}"
-                )
-        if rngs is None:
-            generators = _derived_rngs(seeds, targets, rng_seed)
-        else:
-            if len(rngs) != num_walks:
-                raise ConfigurationError(
-                    f"{num_walks} seeds but {len(rngs)} rngs"
-                )
-            generators = [ensure_rng(rng) for rng in rngs]
         if num_walks == 0:
             return []
 
         eps = self.reset_probability
-        block = self.rng_block
+        block = _RNG_BLOCK
 
         visited = [0] * num_walks
         resets = [0] * num_walks

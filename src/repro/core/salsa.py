@@ -19,7 +19,8 @@ Scores: a segment position's *side* is ``(position + parity_offset) % 2``
 (0 = hub visit, 1 = authority visit); authority scores are authority-side
 visit frequencies, hub scores hub-side frequencies.  As ε → 0 the global
 authority distribution converges to ``indegree/m`` (§2.2's remark) — a
-property the tests pin down.
+property the tests pin down.  Personalized queries are walked by
+:class:`repro.core.query_kernel.SalsaQueryKernel`.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from repro.store.social_store import SocialStore
 
 __all__ = [
     "IncrementalSALSA",
-    "PersonalizedSALSA",
     "SalsaWalkResult",
     "simulate_salsa_walk",
     "batch_salsa_walks",
@@ -186,9 +186,7 @@ class IncrementalSALSA:
         self.store_backend = store_backend
         make_walk_store(0, backend=store_backend)  # validate the name early
         self._rng = ensure_rng(rng)
-        self.pagerank_store = PageRankStore(
-            self.social_store, track_sides=True, include_in_neighbors=True
-        )
+        self.pagerank_store = PageRankStore(self.social_store, track_sides=True)
         self.total_segments_rerouted = 0
         self.total_steps_resimulated = 0
         self.total_steps_discarded = 0
@@ -548,142 +546,3 @@ class SalsaWalkResult:
             key=lambda pair: (-pair[1], pair[0]),
         )
         return ranked[:k]
-
-
-class _SalsaFetchState:
-    """In-memory cache entry for a fetched node (both segment kinds)."""
-
-    __slots__ = ("out_neighbors", "in_neighbors", "forward", "backward")
-
-    def __init__(
-        self,
-        out_neighbors: list[int],
-        in_neighbors: list[int],
-        forward: list[list[int]],
-        backward: list[list[int]],
-    ) -> None:
-        self.out_neighbors = out_neighbors
-        self.in_neighbors = in_neighbors
-        self.forward = forward
-        self.backward = backward
-
-    def take(self, side: int) -> Optional[list[int]]:
-        pool = self.forward if side == SIDE_HUB else self.backward
-        if pool:
-            return pool.pop()
-        return None
-
-
-class PersonalizedSALSA:
-    """Algorithm-1-style stitched walks for personalized SALSA queries.
-
-    The walk alternates sides; ε-resets (to the seed's hub side) happen at
-    hub visits only, matching the paper's personalized SALSA equations.
-    Stored forward-start segments splice at hub visits, backward-start
-    segments at authority visits; each splice ends in the segment's own
-    reset, so the walk jumps back to the seed afterwards.
-    """
-
-    def __init__(
-        self,
-        pagerank_store: PageRankStore,
-        *,
-        reset_probability: float = 0.2,
-        rng: RngLike = None,
-    ) -> None:
-        if not pagerank_store.walks.track_sides:
-            raise ConfigurationError(
-                "PersonalizedSALSA needs a side-tracking walk store "
-                "(build it via IncrementalSALSA)"
-            )
-        self.store = pagerank_store
-        self.reset_probability = reset_probability
-        self._rng = ensure_rng(rng)
-
-    def stitched_walk(
-        self, seed: int, length: int, *, rng: RngLike = None
-    ) -> SalsaWalkResult:
-        if length <= 0:
-            raise ConfigurationError(f"length must be positive, got {length}")
-        generator = ensure_rng(rng) if rng is not None else self._rng
-        result = SalsaWalkResult(
-            seed=seed,
-            length=0,
-            hub_counts=Counter(),
-            authority_counts=Counter(),
-            fetches=0,
-        )
-        fetched: dict[int, _SalsaFetchState] = {}
-        current, side = seed, SIDE_HUB
-        result.hub_counts[seed] += 1
-        result.length = 1
-
-        while result.length < length:
-            if side == SIDE_HUB and generator.random() < self.reset_probability:
-                current, side = seed, SIDE_HUB
-                self._count(result, current, side)
-                result.resets += 1
-                continue
-
-            state = fetched.get(current)
-            if state is None:
-                state = self._fetch(current, generator)
-                fetched[current] = state
-                result.fetches += 1
-                continue
-
-            segment = state.take(side)
-            if segment is not None:
-                self._splice(result, segment, side)
-                result.segments_used += 1
-                current, side = seed, SIDE_HUB
-                self._count(result, current, side)
-                result.resets += 1
-                continue
-
-            adjacency = (
-                state.out_neighbors if side == SIDE_HUB else state.in_neighbors
-            )
-            if not adjacency:
-                current, side = seed, SIDE_HUB
-                self._count(result, current, side)
-                result.resets += 1
-                continue
-            current = adjacency[int(generator.integers(len(adjacency)))]
-            side = 1 - side
-            self._count(result, current, side)
-            result.plain_steps += 1
-
-        return result
-
-    def _fetch(self, node: int, rng: np.random.Generator) -> _SalsaFetchState:
-        fetch = self.store.fetch(node, rng)
-        forward = [
-            segment
-            for segment, offset in zip(fetch.segments, fetch.parity_offsets)
-            if offset == SIDE_HUB
-        ]
-        backward = [
-            segment
-            for segment, offset in zip(fetch.segments, fetch.parity_offsets)
-            if offset == SIDE_AUTHORITY
-        ]
-        return _SalsaFetchState(
-            out_neighbors=list(fetch.neighbors),
-            in_neighbors=list(fetch.in_neighbors),
-            forward=forward,
-            backward=backward,
-        )
-
-    def _splice(self, result: SalsaWalkResult, segment: list[int], side: int) -> None:
-        """Append segment[1:]; parity alternates from the splice point."""
-        for offset, node in enumerate(segment[1:], start=1):
-            self._count(result, node, (side + offset) % 2)
-
-    @staticmethod
-    def _count(result: SalsaWalkResult, node: int, side: int) -> None:
-        if side == SIDE_HUB:
-            result.hub_counts[node] += 1
-        else:
-            result.authority_counts[node] += 1
-        result.length += 1

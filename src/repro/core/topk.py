@@ -4,26 +4,26 @@ The paper's observation: applications never need the full personalized
 vector — only its top ``k`` entries.  Under the power-law model the walk
 length needed so each of the true top ``k`` is seen ``c`` times in
 expectation is ``s_k`` (Equation 4), and the fetch cost of that walk is
-bounded by Corollary 9.  This module packages the query: size the walk,
-run it, rank, and report both the measured and the theoretical fetch cost.
+bounded by Corollary 9.  This module sizes the walk and packages a
+finished walk into a ranking with both the measured and the theoretical
+fetch cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from repro.core import theory
-from repro.core.personalized import PersonalizedPageRank
+from repro.core.personalized import StitchedWalkResult
 from repro.errors import ConfigurationError
-from repro.rng import RngLike
+from repro.store.pagerank_store import PageRankStore
 
 __all__ = [
     "TopKResult",
     "top_k_dense",
-    "top_k_personalized",
+    "top_k_of_walk",
     "walk_length_for_top_k",
 ]
 
@@ -84,49 +84,41 @@ class TopKResult:
         return self.fetches <= self.fetch_bound
 
 
-def top_k_personalized(
-    engine: PersonalizedPageRank,
-    seed: int,
+def top_k_of_walk(
+    store: PageRankStore,
+    walk: StitchedWalkResult,
     k: int,
+    walk_length: int,
     *,
     alpha: float = 0.77,
     c: float = 5.0,
     exclude_friends: bool = True,
-    length: Optional[int] = None,
-    rng: RngLike = None,
 ) -> TopKResult:
-    """Find the ``k`` nodes with highest personalized PageRank for ``seed``.
+    """Rank a finished Algorithm-1 walk from ``store`` into a top-``k`` answer.
 
-    ``alpha`` is the power-law exponent assumed for this seed's personalized
-    vector (§3.1; measure it with
-    :func:`repro.analysis.power_law.fit_rank_exponent` when unknown).
-    ``length`` overrides the Equation-4 walk length when given.
+    The seed is always excluded, and so are its friends unless
+    ``exclude_friends=False`` (recommendation systems never surface
+    existing friends).  ``walk_length`` is the length the walk was asked
+    for: Equation 4's ``s_k`` (:func:`walk_length_for_top_k`) or an
+    override.  ``alpha`` is the power-law exponent assumed for the seed's
+    personalized vector (§3.1).  ``fetches`` counts every first visit of
+    the walk, whether the store or a shared
+    :class:`~repro.core.personalized.FetchCache` served it: the per-walk
+    count Corollary 9 bounds, whatever earlier queries left in the cache.
     """
     if k <= 0:
         raise ConfigurationError(f"k must be positive, got {k}")
-    num_nodes = engine.store.social_store.num_nodes
-    walk_length = (
-        length
-        if length is not None
-        else walk_length_for_top_k(k, num_nodes, alpha, c)
-    )
-    before = engine.store.fetch_count
-    walk = engine.top_k(
-        seed,
-        k,
-        walk_length,
-        exclude_seed=True,
-        exclude_friends=exclude_friends,
-        rng=rng,
-    )
-    fetches = engine.store.fetch_count - before
-    walks_per_node = max(len(engine.store.walks.segments_starting_at(seed)), 1)
+    seed = walk.seed
+    excluded = {seed}
+    if exclude_friends:
+        excluded.update(store.social_store.out_neighbors(seed))
+    walks_per_node = max(len(store.walks.segments_starting_at(seed)), 1)
     return TopKResult(
         seed=seed,
         k=k,
-        ranking=walk.top(k),
+        ranking=walk.top(k, exclude=excluded),
         walk_length=walk_length,
-        fetches=fetches,
+        fetches=walk.fetches + walk.cached_fetches,
         fetch_bound=theory.cor9_topk_fetch_bound(k, alpha, c, walks_per_node),
         alpha=alpha,
         c=c,

@@ -20,7 +20,7 @@ from repro.analysis.asciiplot import ascii_plot
 from repro.analysis.power_law import fit_personalized_exponent
 from repro.baselines.power_iteration import exact_personalized_pagerank
 from repro.core.incremental import IncrementalPageRank
-from repro.core.personalized import PersonalizedPageRank
+from repro.core.query_kernel import QueryKernel
 from repro.core.theory import thm8_fetch_bound
 from repro.experiments.common import ExperimentResult, register
 from repro.rng import ensure_rng, spawn
@@ -67,18 +67,22 @@ def run_fig6(
             walks_per_node=walks,
             rng=engine_rng,
         )
-        query = PersonalizedPageRank(engine.pagerank_store, rng=engine_rng)
+        query = QueryKernel(engine.pagerank_store, reset_probability=0.2)
         measured_series = []
         bound_series = []
         for length in lengths:
-            fetch_counts = []
-            bounds = []
-            for seed, alpha in zip(seeds, alphas):
-                walk = query.stitched_walk(seed, length)
-                fetch_counts.append(walk.fetches)
-                bounds.append(thm8_fetch_bound(length, num_nodes, walks, alpha))
-            measured = float(np.mean(fetch_counts))
-            bound = float(np.mean(bounds))
+            walks_at_length = query.batch_stitched_walks(
+                seeds, length, rngs=spawn(engine_rng, len(seeds))
+            )
+            measured = float(np.mean([walk.fetches for walk in walks_at_length]))
+            bound = float(
+                np.mean(
+                    [
+                        thm8_fetch_bound(length, num_nodes, walks, alpha)
+                        for alpha in alphas
+                    ]
+                )
+            )
             measured_series.append(measured)
             bound_series.append(bound)
             rows.append(

@@ -29,8 +29,8 @@ from repro.baselines.power_iteration import (
 )
 from repro.baselines.salsa_iterative import personalized_salsa, salsa_operators
 from repro.core.incremental import IncrementalPageRank
-from repro.core.personalized import PersonalizedPageRank
-from repro.core.salsa import IncrementalSALSA, PersonalizedSALSA
+from repro.core.query_kernel import QueryKernel, SalsaQueryKernel
+from repro.core.salsa import IncrementalSALSA
 from repro.experiments.common import ExperimentResult, register
 from repro.rng import ensure_rng, spawn
 from repro.workloads.link_prediction import (
@@ -139,21 +139,23 @@ def run_table1(
             walks_per_node=walks_per_node,
             rng=mc_rng,
         )
-        pr_query = PersonalizedPageRank(pr_engine.pagerank_store, rng=mc_rng)
+        pr_query = QueryKernel(pr_engine.pagerank_store, reset_probability=0.2)
         salsa_engine = IncrementalSALSA.from_graph(
             graph_a.copy(),
             reset_probability=0.2,
             walks_per_node=walks_per_node,
             rng=salsa_rng,
         )
-        salsa_query = PersonalizedSALSA(salsa_engine.pagerank_store, rng=salsa_rng)
+        salsa_query = SalsaQueryKernel(
+            salsa_engine.pagerank_store, reset_probability=0.2
+        )
 
         def mc_pagerank_ranker(graph, seed):
-            walk = pr_query.stitched_walk(seed, mc_walk_length)
+            walk = pr_query.stitched_walk(seed, mc_walk_length, rng=mc_rng)
             return [n for n, _ in walk.top(top_needed, exclude=exclusions(seed))]
 
         def mc_salsa_ranker(graph, seed):
-            walk = salsa_query.stitched_walk(seed, mc_walk_length)
+            walk = salsa_query.stitched_walk(seed, mc_walk_length, rng=salsa_rng)
             return [
                 n
                 for n, _ in walk.top_authorities(

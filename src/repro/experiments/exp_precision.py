@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.analysis.asciiplot import ascii_plot
 from repro.analysis.precision import RECALL_LEVELS, average_precision_11pt
 from repro.core.incremental import IncrementalPageRank
-from repro.core.personalized import PersonalizedPageRank
+from repro.core.query_kernel import QueryKernel
 from repro.experiments.common import ExperimentResult, register
 from repro.rng import ensure_rng, spawn
 from repro.workloads.seeds import users_with_friend_count
@@ -42,17 +42,21 @@ def run_fig5(
     engine = IncrementalPageRank.from_graph(
         graph, reset_probability=0.2, walks_per_node=walks_per_node, rng=engine_rng
     )
-    query = PersonalizedPageRank(engine.pagerank_store, rng=walk_rng)
+    query = QueryKernel(engine.pagerank_store, reset_probability=0.2)
     seeds = users_with_friend_count(
         graph, minimum=15, maximum=40, count=num_users, rng=seed_rng
     )
+    true_walks = query.batch_stitched_walks(
+        seeds, true_length, rngs=spawn(walk_rng, len(seeds))
+    )
+    short_walks = query.batch_stitched_walks(
+        seeds, query_length, rngs=spawn(walk_rng, len(seeds))
+    )
 
     runs = []
-    for seed in seeds:
+    for seed, true_walk, short_walk in zip(seeds, true_walks, short_walks):
         exclude = {seed, *graph.out_view(seed)}
-        true_walk = query.stitched_walk(seed, true_length)
         truth = [node for node, _ in true_walk.top(true_top, exclude=exclude)]
-        short_walk = query.stitched_walk(seed, query_length)
         retrieved = [
             node for node, _ in short_walk.top(retrieved_top, exclude=exclude)
         ]

@@ -18,9 +18,9 @@ There is one query path: every answer goes through
 **multi-seed query kernel** (:class:`~repro.core.query_kernel.QueryKernel`).
 ``ppr``/``top_k``/``ppr_to_target`` are single-request batches; the
 :class:`~repro.serve.batcher.RequestBatcher` feeds whole drains per
-worker pass.  The kernel needs ``fetch_mode='full'``, so a
-``sampled_edge`` store is rejected at construction (Remark 1 walks are
-the scalar :class:`~repro.core.personalized.PersonalizedPageRank`'s job).
+worker pass.  A ``sampled_edge`` store is rejected at construction: the
+shared fetch cache holds whole adjacency lists, which Remark 1's mode
+never reads.
 
 **Determinism.**  Each query's walk RNG is derived from
 ``(rng_seed, query seed, walk length)`` — not from wall clock, arrival
@@ -43,7 +43,6 @@ from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
-from repro.core import theory
 from repro.core.incremental import IncrementalPageRank
 from repro.core.personalized import FetchCache, StitchedWalkResult
 from repro.core.query_kernel import QueryKernel
@@ -53,11 +52,12 @@ from repro.core.reverse_push import (
     default_walk_length,
 )
 from repro.core.scheduler import StalenessScheduler
-from repro.core.topk import TopKResult, walk_length_for_top_k
+from repro.core.topk import TopKResult, top_k_of_walk, walk_length_for_top_k
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, Tracer
 from repro.serve.cache import ResultCache
 from repro.serve.stats import ServeStats
+from repro.store.pagerank_store import FETCH_FULL
 
 __all__ = [
     "QueryEngine",
@@ -164,7 +164,7 @@ class QueryEngine:
         E-SERVE benchmark measures against.  ``alpha``/``c`` are the
         Equation-4 walk-sizing defaults for top-``k`` queries.  A
         ``sampled_edge``-mode store raises :class:`ConfigurationError`
-        (the kernel requires ``fetch_mode='full'``).
+        (the shared fetch cache needs ``fetch_mode='full'``).
 
         ``freshness`` is the staleness SLO: ``"eager"`` (default) keeps
         synchronous per-mutation repair; ``"bounded"`` fronts the engine
@@ -243,6 +243,11 @@ class QueryEngine:
         engine.add_update_listener(self._listener)
 
     def _build_kernel(self) -> QueryKernel:
+        if self.store.fetch_mode != FETCH_FULL:
+            raise ConfigurationError(
+                "QueryEngine requires fetch_mode='full' (its shared fetch "
+                "cache holds whole adjacency lists)"
+            )
         return QueryKernel(
             self.store,
             reset_probability=self.engine.reset_probability,
@@ -312,8 +317,9 @@ class QueryEngine:
     ) -> TopKResult:
         """Top-``k`` personalized ranking for ``seed`` (Equation-4 sizing).
 
-        Matches :meth:`QueryKernel.batch_top_k` run with
-        ``rngs=[self.query_rng(seed, walk_length)]`` on the current store
+        Equals :func:`~repro.core.topk.top_k_of_walk` applied to a
+        cache-free :meth:`QueryKernel.stitched_walk` with
+        ``rng=self.query_rng(seed, walk_length)`` on the current store
         state — hit or miss.  The walk length derived from Equation 4 is
         part of the cache key, so node-count growth (which changes the
         derived length) can never serve a stale-sized answer.
@@ -506,7 +512,15 @@ class QueryEngine:
                     value = walk
                 else:
                     _, _, k, length, exclude_friends, _, _ = key
-                    value = self._package_top_k(walk, k, length, exclude_friends)
+                    value = top_k_of_walk(
+                        self.store,
+                        walk,
+                        k,
+                        length,
+                        alpha=self.alpha,
+                        c=self.c,
+                        exclude_friends=exclude_friends,
+                    )
                 # footprint = the *raw* visit set: excluded nodes (seed,
                 # friends) were still read by the walk, so they must keep
                 # invalidating
@@ -517,34 +531,6 @@ class QueryEngine:
                 self.stats.record_query(hit=False, latency=latency)
 
         return [resolved[key] for key in keys]
-
-    def _package_top_k(
-        self,
-        walk: StitchedWalkResult,
-        k: int,
-        walk_length: int,
-        exclude_friends: bool,
-    ) -> TopKResult:
-        """Rank a finished walk into a :class:`TopKResult`."""
-        seed = walk.seed
-        excluded = {seed}
-        if exclude_friends:
-            excluded.update(self.store.social_store.out_neighbors(seed))
-        walks_per_node = max(
-            len(self.store.walks.segments_starting_at(seed)), 1
-        )
-        return TopKResult(
-            seed=seed,
-            k=k,
-            ranking=walk.top(k, exclude=excluded),
-            walk_length=walk_length,
-            fetches=walk.fetches,
-            fetch_bound=theory.cor9_topk_fetch_bound(
-                k, self.alpha, self.c, walks_per_node
-            ),
-            alpha=self.alpha,
-            c=self.c,
-        )
 
     # ------------------------------------------------------------------
     # Invalidation + lifecycle

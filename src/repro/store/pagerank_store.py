@@ -46,17 +46,12 @@ class FetchResult:
     callers may consume them destructively).  ``neighbors`` is the full
     out-adjacency in ``full`` mode; in ``sampled_edge`` mode it holds the
     single sampled out-neighbour (or is empty for dangling nodes).
-    ``in_neighbors`` is populated only by SALSA-mode stores (backward steps
-    need the reverse adjacency).  ``parity_offsets`` mirrors ``segments``
-    for side-tracked stores (0 = forward-start, 1 = backward-start).
     """
 
     node: int
     segments: list[list[int]] = field(default_factory=list)
     neighbors: list[int] = field(default_factory=list)
     out_degree: int = 0
-    in_neighbors: list[int] = field(default_factory=list)
-    parity_offsets: list[int] = field(default_factory=list)
 
 
 class PageRankStore:
@@ -69,7 +64,6 @@ class PageRankStore:
         walk_store: Optional[WalkIndex] = None,
         track_sides: bool = False,
         fetch_mode: str = FETCH_FULL,
-        include_in_neighbors: bool = False,
         stats: Optional[CallStats] = None,
         registry=None,
     ) -> None:
@@ -88,7 +82,6 @@ class PageRankStore:
             else WalkStore(social_store.num_nodes, track_sides=track_sides)
         )
         self.fetch_mode = fetch_mode
-        self.include_in_neighbors = include_in_neighbors
         #: ``registry`` mirrors the fetch/repair counters into a shared
         #: :class:`~repro.obs.MetricsRegistry` under ``store="pagerank"``
         #: (ignored when an explicit ``stats`` object is supplied).
@@ -144,7 +137,6 @@ class PageRankStore:
         self.stats.record("fetch")
         segment_ids = self.walks.segments_starting_at(node)
         segments = [self.walks.segment_nodes(sid) for sid in segment_ids]
-        parity_offsets = [self.walks.parity_of(sid) for sid in segment_ids]
         if self.fetch_mode == FETCH_FULL:
             neighbors = list(self.social_store.out_neighbors(node))
             degree = len(neighbors)
@@ -154,16 +146,8 @@ class PageRankStore:
                 neighbors = [self.social_store.random_out_neighbor(node, ensure_rng(rng))]
             else:
                 neighbors = []
-        in_neighbors: list[int] = []
-        if self.include_in_neighbors:
-            in_neighbors = list(self.social_store.in_neighbors(node))
         return FetchResult(
-            node=node,
-            segments=segments,
-            neighbors=neighbors,
-            out_degree=degree,
-            in_neighbors=in_neighbors,
-            parity_offsets=parity_offsets,
+            node=node, segments=segments, neighbors=neighbors, out_degree=degree
         )
 
     @property

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference_walkers import PersonalizedPageRank
 
 from repro.baselines.power_iteration import exact_personalized_pagerank
 from repro.core.columnar import make_walk_store
 from repro.core.incremental import IncrementalPageRank
-from repro.core.personalized import PersonalizedPageRank
 from repro.core.query_kernel import QueryKernel
 from repro.core.salsa import IncrementalSALSA
 from repro.graph.digraph import DynamicDiGraph

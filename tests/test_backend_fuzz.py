@@ -34,14 +34,13 @@ import time
 import numpy as np
 import pytest
 from object_oracle import rehome_as_object
+from reference_walkers import PersonalizedPageRank, PersonalizedSALSA, top_k_with
 
 from repro.core.incremental import IncrementalPageRank
-from repro.core.personalized import PersonalizedPageRank
 from repro.core.query_kernel import QueryKernel
-from repro.core.salsa import IncrementalSALSA, PersonalizedSALSA
+from repro.core.salsa import IncrementalSALSA
 from repro.core.scheduler import StalenessScheduler
 from repro.core.sharded_walks import ShardedWalkIndex
-from repro.core.topk import top_k_personalized
 from repro.core.walks import WalkStore
 from repro.faults import kill_each_worker_plan
 from repro.graph.arrival import ArrivalEvent
@@ -377,7 +376,7 @@ def replay(
             )
         elif kind == "topk":
             _, qseed, index = op
-            top = top_k_personalized(
+            top = top_k_with(
                 PersonalizedPageRank(engine.pagerank_store),
                 qseed % engine.num_nodes,
                 5,

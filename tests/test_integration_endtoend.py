@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference_walkers import PersonalizedPageRank, PersonalizedSALSA, top_k_with
 
 from repro.analysis.concentration import top_k_overlap
 from repro.baselines.power_iteration import exact_pagerank
 from repro.baselines.salsa_iterative import personalized_salsa
 from repro.core.incremental import IncrementalPageRank
-from repro.core.personalized import PersonalizedPageRank
-from repro.core.salsa import IncrementalSALSA, PersonalizedSALSA
-from repro.core.topk import top_k_personalized
+from repro.core.salsa import IncrementalSALSA
 from repro.store.persistence import load_shared_engine, save_shared_snapshot
 from repro.workloads.seeds import users_with_friend_count
 from repro.workloads.twitter_like import twitter_like_stream
@@ -77,8 +76,8 @@ class TestQueriesOnRestoredStore:
         )
         query = PersonalizedPageRank(restored.pagerank_store, rng=9)
         for seed in seeds:
-            result = top_k_personalized(
-                query, seed, k=10, alpha=0.8, rng=10, exclude_friends=True
+            result = top_k_with(
+                query, seed, 10, alpha=0.8, rng=10, exclude_friends=True
             )
             assert len(result.ranking) == 10
             assert result.fetches < result.walk_length

@@ -225,7 +225,7 @@ def test_batch_walker_max_steps_cap(max_steps, seed):
 def test_stitched_walk_composition(ops, seed_node, length, seed):
     """Algorithm 1's bookkeeping identity must hold on any graph shape,
     including graphs with dangling nodes and tiny reachable sets."""
-    from repro.core.personalized import PersonalizedPageRank
+    from reference_walkers import PersonalizedPageRank
 
     engine = IncrementalPageRank(walks_per_node=2, rng=seed, reset_probability=0.3)
     for _ in range(NODES):

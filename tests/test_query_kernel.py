@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference_walkers import PersonalizedPageRank, PersonalizedSALSA, top_k_with
 
 from repro.core.incremental import IncrementalPageRank
-from repro.core.personalized import FetchCache, PersonalizedPageRank
+from repro.core.personalized import FetchCache
 from repro.core.query_kernel import QueryKernel, SalsaQueryKernel
-from repro.core.salsa import IncrementalSALSA, PersonalizedSALSA
-from repro.core.topk import top_k_personalized
+from repro.core.salsa import IncrementalSALSA
+from repro.core.topk import top_k_of_walk
 from repro.errors import ConfigurationError
 from repro.store.pagerank_store import FETCH_SAMPLED_EDGE, PageRankStore
 from repro.workloads.twitter_like import twitter_like_graph
@@ -214,26 +215,27 @@ class TestDistributionEquivalence:
         cross_overlaps = []
         self_overlaps = []
         for trial in range(12):
-            expected = top_k_personalized(
+            expected = top_k_with(
                 reference,
                 2,
                 5,
                 length=900,
                 rng=np.random.default_rng([31, trial]),
             )
-            resampled = top_k_personalized(
+            resampled = top_k_with(
                 reference,
                 2,
                 5,
                 length=900,
                 rng=np.random.default_rng([33, trial]),
             )
-            got = kernel.batch_top_k(
-                [2],
+            got = top_k_with(
+                kernel,
+                2,
                 5,
                 length=900,
-                rngs=[np.random.default_rng([32, trial])],
-            )[0]
+                rng=np.random.default_rng([32, trial]),
+            )
             cross_overlaps.append(len(set(expected.nodes) & set(got.nodes)))
             self_overlaps.append(
                 len(set(expected.nodes) & set(resampled.nodes))
@@ -303,36 +305,36 @@ class TestFetchCacheAndAccounting:
             assert list(payload.neighbors) == list(fetch.neighbors)
             assert payload.out_degree == fetch.out_degree
 
-    def test_batch_scores_match_walk_frequencies(self):
-        engine = _engine(nodes=60, edges=500)
-        kernel = _kernel(engine)
-        seeds = [1, 4, 9]
-        matrix = kernel.batch_scores(seeds, 250, rng_seed=6)
-        walks = kernel.batch_stitched_walks(seeds, 250, rng_seed=6)
-        for row, walk in enumerate(walks):
-            np.testing.assert_array_equal(
-                matrix[row], walk.frequencies(engine.num_nodes)
-            )
-
-    def test_batch_top_k_matches_walk_ranking(self):
+    def test_packaged_top_k_is_independent_of_cache_history(self):
+        # Corollary 9 bounds a walk's first visits, wherever they are
+        # served from: a warm shared cache must not change the answer
         engine = _engine()
         kernel = _kernel(engine)
-        results = kernel.batch_top_k([2, 7], 4, length=400, rng_seed=8)
-        walks = kernel.batch_stitched_walks([2, 7], 400, rng_seed=8)
-        social = engine.pagerank_store.social_store
-        for result, walk in zip(results, walks):
-            excluded = {walk.seed} | set(social.out_neighbors(walk.seed))
-            assert result.ranking == walk.top(4, exclude=excluded)
-            assert result.walk_length == 400
-            assert result.k == 4
+        store = engine.pagerank_store
+        cache = FetchCache()
+        cold = kernel.batch_stitched_walks([2, 7], 400, rng_seed=8)
+        kernel.batch_stitched_walks([2, 7], 400, rng_seed=8, fetch_cache=cache)
+        warm = kernel.batch_stitched_walks(
+            [2, 7], 400, rng_seed=8, fetch_cache=cache
+        )
+        social = store.social_store
+        for one, other in zip(cold, warm):
+            assert other.fetches == 0 < other.cached_fetches, "premise"
+            packaged = top_k_of_walk(store, one, 4, 400)
+            assert top_k_of_walk(store, other, 4, 400) == packaged
+            excluded = {one.seed, *social.out_neighbors(one.seed)}
+            assert packaged.ranking == one.top(4, exclude=excluded)
+            assert (packaged.fetches, packaged.walk_length, packaged.k) == (
+                one.fetches,
+                400,
+                4,
+            )
 
     def test_configuration_errors(self):
         engine = _engine(nodes=20, edges=80)
         kernel = _kernel(engine)
         with pytest.raises(ConfigurationError):
             QueryKernel(engine.pagerank_store, reset_probability=0.0)
-        with pytest.raises(ConfigurationError):
-            QueryKernel(engine.pagerank_store, rng_block=1)
         with pytest.raises(ConfigurationError):
             kernel.batch_stitched_walks([1], 0)
         with pytest.raises(ConfigurationError):
@@ -341,15 +343,15 @@ class TestFetchCacheAndAccounting:
             kernel.batch_stitched_walks(
                 [1], 10, rngs=[np.random.default_rng(0)] * 2
             )
-        with pytest.raises(ConfigurationError):
-            kernel.batch_top_k([1], 0)
         sampled = PageRankStore(
             engine.social_store,
             walk_store=engine.walks,
             fetch_mode=FETCH_SAMPLED_EDGE,
         )
         with pytest.raises(ConfigurationError):
-            QueryKernel(sampled)
+            QueryKernel(sampled).batch_stitched_walks(
+                [1], 10, fetch_cache=FetchCache()
+            )
 
     def test_empty_batch_and_unit_length(self):
         engine = _engine(nodes=20, edges=80)

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference_walkers import PersonalizedSALSA
 
 from repro.baselines.salsa_iterative import global_salsa, personalized_salsa
+from repro.core.query_kernel import SalsaQueryKernel
 from repro.core.salsa import (
     IncrementalSALSA,
-    PersonalizedSALSA,
     batch_salsa_walks,
     simulate_salsa_walk,
 )
@@ -211,10 +212,11 @@ class TestIncrementalMaintenance:
 
 
 class TestPersonalizedSALSA:
+    walker = PersonalizedSALSA
+
     def test_walk_runs_and_counts(self, pa_graph):
         engine = IncrementalSALSA.from_graph(pa_graph, walks_per_node=5, rng=15)
-        query = PersonalizedSALSA(engine.pagerank_store, rng=16)
-        walk = query.stitched_walk(7, 3000)
+        walk = self.walker(engine.pagerank_store).stitched_walk(7, 3000, rng=16)
         assert walk.length >= 3000
         assert walk.fetches > 0
         assert walk.fetches < 3000  # stitching must beat one-fetch-per-step
@@ -227,8 +229,9 @@ class TestPersonalizedSALSA:
         engine = IncrementalSALSA.from_graph(
             pa_graph, reset_probability=0.2, walks_per_node=10, rng=17
         )
-        query = PersonalizedSALSA(engine.pagerank_store, rng=18)
-        walk = query.stitched_walk(seed, 60_000)
+        walk = self.walker(engine.pagerank_store).stitched_walk(
+            seed, 60_000, rng=18
+        )
         estimate = np.zeros(pa_graph.num_nodes)
         for node, count in walk.authority_counts.items():
             estimate[node] = count
@@ -244,8 +247,7 @@ class TestPersonalizedSALSA:
 
     def test_top_authorities_excludes(self, pa_graph):
         engine = IncrementalSALSA.from_graph(pa_graph, walks_per_node=5, rng=19)
-        query = PersonalizedSALSA(engine.pagerank_store, rng=20)
-        walk = query.stitched_walk(3, 2000)
+        walk = self.walker(engine.pagerank_store).stitched_walk(3, 2000, rng=20)
         banned = {3, *pa_graph.out_view(3)}
         top = walk.top_authorities(10, exclude=banned)
         assert all(node not in banned for node, _ in top)
@@ -256,10 +258,14 @@ class TestPersonalizedSALSA:
 
         plain = PageRankStore(SocialStore.of_graph(tiny_graph))
         with pytest.raises(ConfigurationError):
-            PersonalizedSALSA(plain)
+            self.walker(plain)
 
     def test_bad_length(self, pa_graph):
         engine = IncrementalSALSA.from_graph(pa_graph, walks_per_node=2, rng=21)
-        query = PersonalizedSALSA(engine.pagerank_store)
+        query = self.walker(engine.pagerank_store)
         with pytest.raises(ConfigurationError):
             query.stitched_walk(0, 0)
+
+
+class TestPersonalizedSALSAOnKernel(TestPersonalizedSALSA):
+    walker = SalsaQueryKernel

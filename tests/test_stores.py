@@ -400,12 +400,6 @@ class TestPageRankStore:
         assert len(result.neighbors) == 1
         assert result.neighbors[0] in random_graph.out_neighbors(0)
 
-    def test_fetch_includes_in_neighbors_when_asked(self, random_graph):
-        social = SocialStore.of_graph(random_graph)
-        store = PageRankStore(social, include_in_neighbors=True)
-        result = store.fetch(4)
-        assert sorted(result.in_neighbors) == sorted(random_graph.in_neighbors(4))
-
     def test_fetch_unknown_node_is_empty(self, loaded):
         result = loaded.fetch(10_000) if loaded.walks.num_nodes > 10_000 else None
         # out-of-range nodes in the walk store yield no segments

@@ -1,16 +1,22 @@
-"""Top-k personalized queries (§3.2): sizing, ranking, fetch accounting."""
+"""Top-k personalized queries (§3.2): sizing, ranking, fetch accounting.
+
+The query classes run on the scalar reference walker and, through their
+``...OnKernel`` subclass, on the shipped :class:`QueryKernel`; both feed
+the one packager, :func:`top_k_of_walk`.
+"""
 
 from __future__ import annotations
 
 import pytest
+from reference_walkers import PersonalizedPageRank, top_k_with
 
 from repro.core import theory
 from repro.core.incremental import IncrementalPageRank
-from repro.core.personalized import PersonalizedPageRank
+from repro.core.query_kernel import QueryKernel
 from repro.core.topk import (
     TopKResult,
     top_k_dense,
-    top_k_personalized,
+    top_k_of_walk,
     walk_length_for_top_k,
 )
 from repro.errors import ConfigurationError
@@ -23,8 +29,7 @@ def setup():
     engine = IncrementalPageRank.from_graph(
         graph, reset_probability=0.2, walks_per_node=10, rng=56
     )
-    query = PersonalizedPageRank(engine.pagerank_store, rng=57)
-    return graph, engine, query
+    return graph, engine
 
 
 class TestWalkLength:
@@ -38,9 +43,12 @@ class TestWalkLength:
 
 
 class TestTopKQuery:
+    walker = PersonalizedPageRank
+
     def test_returns_k_ranked(self, setup):
-        graph, engine, query = setup
-        result = top_k_personalized(query, seed=20, k=10, alpha=0.7, rng=1)
+        graph, engine = setup
+        query = self.walker(engine.pagerank_store)
+        result = top_k_with(query, 20, 10, alpha=0.7, rng=1)
         assert isinstance(result, TopKResult)
         assert len(result.ranking) == 10
         counts = [c for _, c in result.ranking]
@@ -48,16 +56,18 @@ class TestTopKQuery:
         assert result.nodes == [n for n, _ in result.ranking]
 
     def test_excludes_seed_and_friends(self, setup):
-        graph, engine, query = setup
+        graph, engine = setup
         seed = 33
-        result = top_k_personalized(query, seed=seed, k=15, alpha=0.7, rng=2)
+        query = self.walker(engine.pagerank_store)
+        result = top_k_with(query, seed, 15, alpha=0.7, rng=2)
         banned = {seed, *graph.out_view(seed)}
         assert all(node not in banned for node in result.nodes)
 
     def test_fetch_accounting(self, setup):
-        graph, engine, query = setup
+        graph, engine = setup
+        query = self.walker(engine.pagerank_store)
         before = engine.pagerank_store.fetch_count
-        result = top_k_personalized(query, seed=40, k=10, alpha=0.7, rng=3)
+        result = top_k_with(query, 40, 10, alpha=0.7, rng=3)
         assert engine.pagerank_store.fetch_count - before == result.fetches
         assert result.fetch_bound == theory.cor9_topk_fetch_bound(
             10, 0.7, result.c, engine.walks_per_node
@@ -65,16 +75,20 @@ class TestTopKQuery:
         assert result.fetches < result.walk_length  # stitching pays off
 
     def test_length_override(self, setup):
-        graph, engine, query = setup
-        result = top_k_personalized(
-            query, seed=25, k=5, alpha=0.7, length=777, rng=4
-        )
+        graph, engine = setup
+        query = self.walker(engine.pagerank_store)
+        result = top_k_with(query, 25, 5, alpha=0.7, length=777, rng=4)
         assert result.walk_length == 777
 
     def test_bad_k(self, setup):
-        graph, engine, query = setup
+        graph, engine = setup
+        walk = self.walker(engine.pagerank_store).stitched_walk(1, 50, rng=5)
         with pytest.raises(ConfigurationError):
-            top_k_personalized(query, seed=1, k=0)
+            top_k_of_walk(engine.pagerank_store, walk, 0, 50)
+
+
+class TestTopKQueryOnKernel(TestTopKQuery):
+    walker = QueryKernel
 
 
 class TestTopKDense:

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference_walkers import PersonalizedPageRank, PersonalizedSALSA, top_k_with
 
 from repro.core.columnar import ColumnarWalkStore
 from repro.core.incremental import IncrementalPageRank
-from repro.core.personalized import PersonalizedPageRank
-from repro.core.salsa import IncrementalSALSA, PersonalizedSALSA
-from repro.core.topk import top_k_personalized
+from repro.core.salsa import IncrementalSALSA
 from repro.core.walks import WalkIndex, WalkStore
 from repro.graph.arrival import ArrivalEvent
 from repro.workloads.twitter_like import twitter_like_graph
@@ -111,13 +110,13 @@ def test_interleaved_updates_and_queries_bit_identical(seed):
             continue
         else:  # top-k query
             query_seed = int(driver.integers(columnar.num_nodes))
-            top_c = top_k_personalized(
+            top_c = top_k_with(
                 PersonalizedPageRank(columnar.pagerank_store),
                 query_seed,
                 5,
                 rng=np.random.default_rng([seed, step]),
             )
-            top_o = top_k_personalized(
+            top_o = top_k_with(
                 PersonalizedPageRank(objectful.pagerank_store),
                 query_seed,
                 5,
