@@ -36,7 +36,6 @@ from repro.core import (
     QueryKernel,
     ReversePushEngine,
     SalsaQueryKernel,
-    ShardedWalkIndex,
     StalenessScheduler,
     TopKResult,
     UpdateReport,
@@ -73,7 +72,6 @@ __all__ = [
     "WalkIndex",
     "WalkStore",
     "ColumnarWalkStore",
-    "ShardedWalkIndex",
     "make_walk_store",
     "MonteCarloPageRank",
     "IncrementalPageRank",

@@ -34,12 +34,6 @@ from repro.core.scheduler import (
     REPAIR_REPLAY,
     StalenessScheduler,
 )
-from repro.core.sharded_walks import (
-    BACKEND_SHARDED,
-    DEFAULT_NUM_SHARDS,
-    ShardedWalkIndex,
-    parse_sharded_backend,
-)
 from repro.core.topk import (
     TopKResult,
     top_k_dense,
@@ -63,13 +57,9 @@ __all__ = [
     "WalkIndex",
     "WalkStore",
     "ColumnarWalkStore",
-    "ShardedWalkIndex",
     "make_walk_store",
-    "parse_sharded_backend",
     "BACKEND_COLUMNAR",
     "BACKEND_OBJECT",
-    "BACKEND_SHARDED",
-    "DEFAULT_NUM_SHARDS",
     "END_RESET",
     "END_DANGLING",
     "SIDE_HUB",

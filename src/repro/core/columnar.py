@@ -272,45 +272,6 @@ class _PackedRows:
             raise WalkStateError(f"{what}: used region exceeds the array")
 
 
-def _normalize_bulk_args(
-    segments: Sequence[Sequence[int]],
-    end_reasons: Sequence[int],
-    parity_offset: Union[int, Sequence[int]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a bulk-add argument triple; returns ``(reasons, parities)``.
-
-    Shared by every array-backed backend (columnar and sharded) so the
-    argument contract — per-segment reason, scalar-or-per-segment parity —
-    cannot drift between them.
-    """
-    count = len(segments)
-    if len(end_reasons) != count:
-        raise WalkStateError(
-            f"{count} segments but {len(end_reasons)} end reasons"
-        )
-    if isinstance(parity_offset, (int, np.integer)):
-        parities = np.full(count, int(parity_offset), dtype=np.int8)
-    else:
-        parities = np.asarray(parity_offset, dtype=np.int8)
-        if parities.size != count:
-            raise WalkStateError(
-                f"{count} segments but {parities.size} parity offsets"
-            )
-    return np.asarray(end_reasons, dtype=np.int8), parities
-
-
-def _flatten_block(
-    segments: Sequence[Sequence[int]], count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """One ``(flat, lengths)`` pair for a segment block (bulk installs)."""
-    lengths = np.fromiter((len(s) for s in segments), dtype=np.int64, count=count)
-    total = int(lengths.sum())
-    flat = np.fromiter(
-        chain.from_iterable(segments), dtype=np.int64, count=total
-    )
-    return flat, lengths
-
-
 class ColumnarWalkStore:
     """Flat-array implementation of the :class:`WalkIndex` protocol."""
 
@@ -522,16 +483,29 @@ class ColumnarWalkStore:
         count = len(segments)
         if count == 0:
             return
-        reasons, parities = _normalize_bulk_args(
-            segments, end_reasons, parity_offset
-        )
+        if len(end_reasons) != count:
+            raise WalkStateError(
+                f"{count} segments but {len(end_reasons)} end reasons"
+            )
+        if isinstance(parity_offset, (int, np.integer)):
+            parities = np.full(count, int(parity_offset), dtype=np.int8)
+        else:
+            parities = np.asarray(parity_offset, dtype=np.int8)
+            if parities.size != count:
+                raise WalkStateError(
+                    f"{count} segments but {parities.size} parity offsets"
+                )
+        reasons = np.asarray(end_reasons, dtype=np.int8)
         if self._num_segments:
             for nodes, reason, parity in zip(segments, reasons, parities):
                 self.add_segment(
                     WalkSegment(list(nodes), int(reason), parity_offset=int(parity))
                 )
             return
-        flat, lengths = _flatten_block(segments, count)
+        lengths = np.fromiter((len(s) for s in segments), dtype=np.int64, count=count)
+        flat = np.fromiter(
+            chain.from_iterable(segments), dtype=np.int64, count=int(lengths.sum())
+        )
         self._append_block(flat, lengths, reasons, parities, adopt=True)
 
     def _append_block(
@@ -817,11 +791,10 @@ class ColumnarWalkStore:
 
         Semantically the per-entry :meth:`_write_payload` loop, but every
         phase — validation, relocation, prefix copies, tail scatter — is a
-        numpy pass, so large batch repairs spend their time in
-        GIL-releasing kernels (which is what lets the sharded engine's
-        thread pool scale them).  Returns ``False`` when the batch targets
-        a segment twice (order would matter; the caller falls back to the
-        sequential loop).  Callers must follow up with
+        numpy pass, so large batch repairs cost a fixed number of array
+        passes instead of a Python loop per entry.  Returns ``False`` when
+        the batch targets a segment twice (order would matter; the caller
+        falls back to the sequential loop).  Callers must follow up with
         :meth:`_rebuild_index`.
         """
         count = len(updates)
@@ -1128,24 +1101,15 @@ def make_walk_store(
 ) -> WalkIndex:
     """Instantiate a :class:`WalkIndex` backend by name.
 
-    ``"columnar"`` (default) and ``"object"`` select the flat backends;
-    ``"sharded"`` / ``"sharded:<count>"`` select a hash-partitioned
-    :class:`~repro.core.sharded_walks.ShardedWalkIndex` of columnar shards
-    (``"sharded"`` alone uses the default shard count).
+    ``"columnar"`` (default) is the production store; ``"object"`` selects
+    the reference :class:`WalkStore` the differential tests check it
+    against.
     """
     if backend == BACKEND_COLUMNAR:
         return ColumnarWalkStore(num_nodes, track_sides=track_sides)
     if backend == BACKEND_OBJECT:
         return WalkStore(num_nodes, track_sides=track_sides)
-    # deferred import: sharded_walks composes ColumnarWalkStore shards
-    from repro.core.sharded_walks import ShardedWalkIndex, parse_sharded_backend
-
-    num_shards = parse_sharded_backend(backend)
-    if num_shards is not None:
-        return ShardedWalkIndex(
-            num_nodes, track_sides=track_sides, num_shards=num_shards
-        )
     raise ConfigurationError(
-        f"walk-store backend must be '{BACKEND_COLUMNAR}', "
-        f"'{BACKEND_OBJECT}', 'sharded', or 'sharded:<count>', got {backend!r}"
+        f"walk-store backend must be '{BACKEND_COLUMNAR}' or "
+        f"'{BACKEND_OBJECT}', got {backend!r}"
     )

@@ -289,11 +289,6 @@ class IncrementalPageRank:
             metric="repro_core_stage_seconds",
             documentation="Wall-clock seconds per apply_batch phase",
         )
-        self._store_profiler = StageProfiler(
-            self.registry,
-            metric="repro_store_stage_seconds",
-            documentation="Wall-clock seconds per storage repair stage",
-        )
         self._mutation_counter = self.registry.counter(
             "repro_core_mutations_total",
             "Graph mutations processed by the incremental engine",
@@ -441,13 +436,9 @@ class IncrementalPageRank:
 
         The one seam a store enters the engine through — a fresh build
         (:meth:`initialize`) or a snapshot restore
-        (:mod:`repro.store.persistence`): binds the storage-stage
-        profiler, swaps the store in, and tells listeners that every
-        stored segment changed.
+        (:mod:`repro.store.persistence`): swaps the store in and tells
+        listeners that every stored segment changed.
         """
-        bind_profiler = getattr(store, "bind_profiler", None)
-        if bind_profiler is not None:
-            bind_profiler(self._store_profiler)
         self.pagerank_store.walks = store
         self._publish_update(None)
 

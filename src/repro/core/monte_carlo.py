@@ -45,9 +45,9 @@ def build_walk_store(
     """Simulate ``R`` reset walks per node (vectorized) into a fresh store.
 
     ``backend`` picks the :class:`WalkIndex` implementation: ``"columnar"``
-    (:class:`repro.core.columnar.ColumnarWalkStore`, the default),
-    ``"sharded[:k]"``, or ``"object"`` (the reference :class:`WalkStore`,
-    selected explicitly as the differential oracle).
+    (:class:`repro.core.columnar.ColumnarWalkStore`, the default) or
+    ``"object"`` (the reference :class:`WalkStore`, selected explicitly as
+    the differential oracle).
     """
     if walks_per_node <= 0:
         raise ConfigurationError(
@@ -108,6 +108,7 @@ class MonteCarloPageRank:
         self.reset_probability = reset_probability
         self.walks_per_node = walks_per_node
         self.store_backend = store_backend
+        make_walk_store(0, backend=store_backend)  # validate the name early
         self._rng = ensure_rng(rng)
         self._store: Optional[WalkIndex] = None
 

@@ -12,8 +12,7 @@ served answer, experiment and estimator walks through it.  It advances
 * **Bulk segment lookup** — node payloads (adjacency + stored segment
   tails) are loaded **once per batch** through
   :meth:`~repro.core.walks.WalkIndex.segment_views_starting_at`: zero-copy
-  arena views on the columnar backend, a single-shard gather on
-  :class:`~repro.core.sharded_walks.ShardedWalkIndex`.
+  arena views on the columnar backend.
 * **Vectorized visit accumulation** — a splice appends the segment's
   arena *view* to a chunk list (O(1) Python work regardless of segment
   length); all per-walk visit counts are reduced at the end with one

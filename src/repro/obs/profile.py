@@ -1,8 +1,8 @@
 """``REPRO_OBS`` observability levels and low-overhead stage profiling.
 
-The hot paths — the fused query kernel, ``apply_batch``, per-shard repair
-fan-out — cannot afford unconditional timing calls, so every profiling
-hook is gated by a process-wide level:
+The hot paths — the fused query kernel and ``apply_batch`` — cannot
+afford unconditional timing calls, so every profiling hook is gated by a
+process-wide level:
 
 * ``0`` (default) — off.  The disabled path costs one attribute read and
   one branch per *batch*, nothing per step.

@@ -21,8 +21,9 @@ multi-process serve tier.  It owns
   (see below).
 
 Requests route to workers **seed-affine** (the same Fibonacci multiplier
-hash the sharded store uses), so a hot seed always lands on the worker
-whose result/fetch caches already hold it.  Admission control is a
+hash as :meth:`~repro.store.sharded.ShardedGraphBackend.shard_of`), so a
+hot seed always lands on the worker whose result/fetch caches already
+hold it.  Admission control is a
 bounded in-flight window shared across workers: past ``max_in_flight``
 outstanding requests, new work is shed with
 :class:`~repro.errors.LoadShedError` — backpressure at the front door
@@ -103,8 +104,9 @@ from repro.serve.worker import (
 
 __all__ = ["MultiProcessFrontend"]
 
-#: Fibonacci multiplier (golden-ratio hash) — the same seed scrambler the
-#: sharded store routes with, so routing is uniform even for dense ids.
+#: Fibonacci multiplier (golden-ratio hash) — the same node scrambler as
+#: :meth:`repro.store.sharded.ShardedGraphBackend.shard_of`, so routing is
+#: uniform even for dense ids.
 _HASH_MULTIPLIER = 0x9E3779B9
 
 _READER_STOP = ("__reader_stop__",)

@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Union
 import numpy as np
 
 from repro.core.columnar import ColumnarWalkStore
-from repro.core.sharded_walks import ShardedWalkIndex
 from repro.core.walks import END_DANGLING, WalkIndex
 from repro.errors import ConfigurationError, WalkStateError
 from repro.graph.digraph import DynamicDiGraph
@@ -60,32 +59,23 @@ MANIFEST_NAME = "manifest.json"
 FORMAT_VERSION = 4
 KIND_STORE = "walk_store"
 KIND_ENGINE = "incremental_pagerank"
-#: Flat-store arrays, in :meth:`ColumnarWalkStore.to_arrays` order; a
-#: sharded store writes one ``shard<i>_``-prefixed block of
-#: ``_SHARD_COLUMNS`` per shard instead.
+#: Store arrays, in :meth:`ColumnarWalkStore.to_arrays` order.
 _COLUMNS = (
     "segment_nodes",
     "segment_lengths",
     "segment_end_reasons",
     "segment_parities",
 )
-_SHARD_COLUMNS = _COLUMNS + ("global_ids",)
 PathLike = Union[str, Path]
 
 
 def _store_arrays(store: WalkIndex) -> dict[str, np.ndarray]:
     """Compacted export of ``store``: arena + per-segment columns.
 
-    Sharded stores hand over one block per shard, a
-    :class:`ColumnarWalkStore` its columns; any other :class:`WalkIndex`
-    (the object-backed test oracle) is flattened segment by segment.
+    A :class:`ColumnarWalkStore` hands over its columns; any other
+    :class:`WalkIndex` (the object-backed test oracle) is flattened
+    segment by segment.
     """
-    if isinstance(store, ShardedWalkIndex):
-        return {
-            f"shard{shard_index}_{name}": array
-            for shard_index, block in enumerate(store.shard_arrays())
-            for name, array in block.items()
-        }
     if isinstance(store, ColumnarWalkStore):
         columns = store.to_arrays()
     else:
@@ -103,10 +93,10 @@ def save_shared_snapshot(target, directory: PathLike) -> Path:
     """Write the snapshot *directory* for ``target``; returns its path.
 
     ``target`` is an :class:`IncrementalPageRank` engine or a bare
-    :class:`WalkIndex`.  Layout: ``manifest.json`` (parameters, shard
-    count — 0 for a flat store — and the array listing) and one raw
-    uncompressed ``.npy`` file per array, so readers can memory-map the
-    arenas instead of decompressing private copies.
+    :class:`WalkIndex`.  Layout: ``manifest.json`` (parameters and the
+    array listing) and one raw uncompressed ``.npy`` file per array, so
+    readers can memory-map the arenas instead of decompressing private
+    copies.
 
     Only the manifest write is atomic — publishers that swap generations
     under live readers must write into a fresh directory and flip a
@@ -142,9 +132,6 @@ def save_shared_snapshot(target, directory: PathLike) -> Path:
     arrays.update(_store_arrays(store))
     meta["format_version"] = FORMAT_VERSION
     meta["track_sides"] = store.track_sides
-    meta["num_shards"] = (
-        store.num_shards if isinstance(store, ShardedWalkIndex) else 0
-    )
     meta["arrays"] = sorted(arrays)
     for name, array in arrays.items():
         np.save(directory / f"{name}.npy", np.ascontiguousarray(array))
@@ -232,27 +219,8 @@ class _SnapshotArrays:
 
 def _build_store(data: _SnapshotArrays, meta: dict, *, copy: bool) -> WalkIndex:
     """The store a snapshot describes: private if ``copy``, else read-only."""
-    try:
-        num_shards = int(meta["num_shards"])
-    except (KeyError, TypeError, ValueError):
-        raise WalkStateError(
-            "corrupt shared snapshot: manifest lacks a shard count"
-        ) from None
-    if num_shards < 0:
-        raise WalkStateError(
-            f"corrupt shared snapshot: shard count must not be negative, "
-            f"got {num_shards}"
-        )
     num_nodes = int(meta["num_nodes"])
     track_sides = bool(meta["track_sides"])
-    if num_shards:
-        blocks = [
-            {name: data[f"shard{shard_index}_{name}"] for name in _SHARD_COLUMNS}
-            for shard_index in range(num_shards)
-        ]
-        return ShardedWalkIndex.from_shard_arrays(
-            blocks, num_nodes=num_nodes, track_sides=track_sides, copy=copy
-        )
     flat, lengths, reasons, parities = (data[name] for name in _COLUMNS)
     if int(lengths.sum()) != int(flat.size):
         raise WalkStateError("corrupt shared snapshot: arena length mismatch")
@@ -292,12 +260,6 @@ def _restore(
             walks_per_node=int(meta["walks_per_node"]),
             reroute_policy=str(meta["reroute_policy"]),
             rng=rng,
-            # later reinitializations keep the snapshot's layout
-            store_backend=(
-                f"sharded:{store.num_shards}"
-                if isinstance(store, ShardedWalkIndex)
-                else "columnar"
-            ),
         )
     except WalkStateError:
         raise

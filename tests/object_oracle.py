@@ -1,6 +1,6 @@
 """The ``"object"`` lane of the snapshot differentials.
 
-Snapshots restore as columnar (or sharded) stores only; the reference
+Snapshots restore as columnar stores only; the reference
 :class:`~repro.core.walks.WalkStore` survives as the differential oracle.
 """
 

@@ -1,8 +1,8 @@
 """Degenerate-graph coverage for every WalkIndex backend + QueryEngine.
 
-The columnar and sharded stores were built for scale; these tests pin the
+The columnar store was built for scale; these tests pin the
 opposite end — empty graphs, all-dangling graphs, one-node self-loops, and
-queries for nodes no stored walk has ever visited — for all three
+queries for nodes no stored walk has ever visited — for both
 backends, asserting both sane behavior and cross-backend bit-identity.
 """
 
@@ -21,7 +21,7 @@ from repro.graph.digraph import DynamicDiGraph
 from repro.serve.engine import QueryEngine
 from repro.store.persistence import attach_walk_store, save_shared_snapshot
 
-BACKENDS = ["object", "columnar", "sharded:3"]
+BACKENDS = ["object", "columnar"]
 
 
 def _engines(graph: DynamicDiGraph, *, rng_seed: int = 7):

@@ -1,15 +1,15 @@
 """Randomized cross-backend differential stress suite.
 
-One seeded op-sequence generator drives every :class:`WalkIndex` backend —
-object, columnar, and sharded with shard counts {1, 2, 4, 7} — through the
-same interleaving of edge arrivals/removals, batched slices, PPR / top-k /
+One seeded op-sequence generator drives both :class:`WalkIndex` backends —
+the object oracle and the columnar store — through the same interleaving
+of edge arrivals/removals, batched slices, PPR / top-k /
 multi-seed kernel (``ppr_batch``) / bidirectional PPR-to-target
 (``reverse_push``) / SALSA queries, persistence roundtrips, and
 WAL-backed crash/recover cycles (``crash_recover`` — snapshot, log a
 batch, "crash", replay the log, continue on the recovered engine),
 asserting a **bit-identical observable trace at every step**
-(DESIGN.md §6's determinism contract, §9's shard-count-invariance
-guarantee, and §10's kernel stream contract under interleaved updates).
+(DESIGN.md §6's determinism contract and §10's kernel stream contract
+under interleaved updates).
 
 When a sequence diverges, :func:`shrink_ops` delta-debugs it down to a
 (locally) minimal failing op list and the assertion message prints the
@@ -40,7 +40,6 @@ from repro.core.incremental import IncrementalPageRank
 from repro.core.query_kernel import QueryKernel
 from repro.core.salsa import IncrementalSALSA
 from repro.core.scheduler import StalenessScheduler
-from repro.core.sharded_walks import ShardedWalkIndex
 from repro.core.walks import WalkStore
 from repro.faults import kill_each_worker_plan
 from repro.graph.arrival import ArrivalEvent
@@ -58,8 +57,7 @@ from repro.serve.traffic import zipf_seed_sequence
 from repro.store.persistence import load_shared_engine, save_shared_snapshot
 from repro.workloads.twitter_like import twitter_like_graph
 
-BACKENDS = ["object", "columnar", "sharded:1", "sharded:2", "sharded:4", "sharded:7"]
-SALSA_BACKENDS = ["object", "columnar", "sharded:2", "sharded:7"]
+BACKENDS = ["object", "columnar"]
 
 NUM_NODES = 90
 NUM_EDGES = 700
@@ -422,7 +420,7 @@ def replay(
             assert recovered.pagerank().tobytes() == engine.pagerank().tobytes()
             assert recovered.rng_state() == engine.rng_state()
             if not isinstance(engine.walks, WalkStore):
-                # recovery restores columnar/sharded stores only; the
+                # recovery restores columnar stores only; the
                 # object oracle's live engine is the same image + batch
                 engine = recovered
             trace.append(
@@ -635,7 +633,7 @@ def test_fuzz_all_backends_quick(seed, tmp_path):
 
 @pytest.mark.parametrize("seed", [10])
 def test_fuzz_salsa_backends_quick(seed, tmp_path):
-    assert_backends_agree(seed, 25, tmp_path, SALSA_BACKENDS, salsa=True)
+    assert_backends_agree(seed, 25, tmp_path, BACKENDS, salsa=True)
 
 
 @pytest.mark.parametrize("seed", [30, 31])
@@ -673,7 +671,7 @@ def test_fuzz_all_backends_long(seed, tmp_path):
 @pytest.mark.fuzz
 @pytest.mark.parametrize("seed", [20, 21])
 def test_fuzz_salsa_backends_long(seed, tmp_path):
-    assert_backends_agree(seed, 80, tmp_path, SALSA_BACKENDS, salsa=True)
+    assert_backends_agree(seed, 80, tmp_path, BACKENDS, salsa=True)
 
 
 @pytest.mark.fuzz
@@ -873,15 +871,6 @@ def _assert_serve_identical(served, expected):
             assert answer.ranking == reference.ranking
         else:
             assert answer.visit_counts == reference.visit_counts
-
-
-def test_sharded_store_class_is_used(tmp_path):
-    engine = IncrementalPageRank.from_graph(
-        twitter_like_graph(40, 200, rng=0), walks_per_node=2, rng=1,
-        store_backend="sharded:4",
-    )
-    assert isinstance(engine.walks, ShardedWalkIndex)
-    assert engine.walks.num_shards == 4
 
 
 def test_shrinker_minimizes_and_formats(tmp_path):

@@ -23,6 +23,8 @@ from repro.core.walks import (
     WalkStore,
 )
 from repro.core.incremental import IncrementalPageRank
+from repro.core.monte_carlo import MonteCarloPageRank
+from repro.core.salsa import IncrementalSALSA
 from repro.errors import ConfigurationError, WalkStateError
 from repro.graph.arrival import ArrivalEvent
 from repro.graph.digraph import DynamicDiGraph
@@ -42,6 +44,24 @@ class TestFactory:
     def test_track_sides_passthrough(self):
         store = make_walk_store(2, track_sides=True)
         assert store.track_sides
+
+
+_ENGINE_FACTORIES = {
+    "pagerank": lambda backend: IncrementalPageRank(store_backend=backend),
+    "salsa": lambda backend: IncrementalSALSA(store_backend=backend),
+    "monte_carlo": lambda backend: MonteCarloPageRank(
+        DynamicDiGraph(3), store_backend=backend
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", _ENGINE_FACTORIES)
+@pytest.mark.parametrize("backend", ["sharded", "sharded:4"])
+def test_sharded_backend_refused_at_construction(engine, backend):
+    """The partitioned walk store is gone: naming it fails fast, and the
+    message lists the two stores that remain."""
+    with pytest.raises(ConfigurationError, match="'columnar' or 'object'"):
+        _ENGINE_FACTORIES[engine](backend)
 
 
 class TestSegmentLifecycle:

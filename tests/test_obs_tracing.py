@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.incremental import IncrementalPageRank
 from repro.errors import ConfigurationError
+from repro.graph.arrival import ArrivalEvent
 from repro.graph.generators import directed_preferential_attachment
 from repro.obs import (
     LEVEL_OFF,
@@ -217,6 +218,20 @@ class TestStageProfiler:
         with profiler.stage("scan"):
             pass
         assert profiler.stage_seconds.count(stage="scan") == 1
+
+    def test_apply_batch_bills_every_phase(self, level_guard):
+        registry = MetricsRegistry()
+        graph = directed_preferential_attachment(80, edges_per_node=3, rng=5)
+        engine = IncrementalPageRank.from_graph(
+            graph, walks_per_node=4, rng=1, registry=registry
+        )
+        removals = [ArrivalEvent("remove", u, v) for u, v in graph.edge_list()[:5]]
+        set_level(LEVEL_PROFILE)
+        report = engine.apply_batch([*removals, ArrivalEvent("add", 0, 79)])
+        assert report.segments_rerouted > 0
+        stages = registry.histogram("repro_core_stage_seconds", labels=("stage",))
+        for phase in ("snapshot_and_mutate", "scan", "resimulate", "writeback"):
+            assert stages.count(stage=f"apply_batch.{phase}") == 1
 
     def test_forced_enablement_ignores_level(self):
         registry = MetricsRegistry()

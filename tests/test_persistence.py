@@ -17,7 +17,6 @@ from repro.core.columnar import ColumnarWalkStore
 from repro.core.incremental import IncrementalPageRank
 from repro.core.monte_carlo import build_walk_store
 from repro.core.salsa import IncrementalSALSA
-from repro.core.sharded_walks import ShardedWalkIndex
 from repro.core.walks import END_RESET, WalkSegment
 from repro.errors import ConfigurationError, WalkStateError
 from repro.graph.arrival import ArrivalEvent
@@ -47,9 +46,11 @@ def _segments(store):
 
 
 def _assert_same_arrays(restored, original):
-    for ours, theirs in zip(restored.to_arrays(), original.to_arrays()):
-        assert ours.dtype == theirs.dtype
-        assert np.array_equal(ours, theirs)
+    ours, theirs = (persistence._store_arrays(s) for s in (restored, original))
+    assert ours.keys() == theirs.keys()
+    for name, array in ours.items():
+        assert array.dtype == theirs[name].dtype
+        assert np.array_equal(array, theirs[name])
 
 
 def _traversed_edge(engine):
@@ -94,16 +95,17 @@ def _assert_rejected(directory, error, match, openers=ALL_OPENERS):
 
 
 @pytest.mark.parametrize("opener", ENGINE_OPENERS)
-@pytest.mark.parametrize("backend", ["columnar", "sharded:1", "sharded:4"])
+@pytest.mark.parametrize("backend", ["object", "columnar"])
 def test_round_trip(random_graph, tmp_path, backend, opener):
     """One format, both openers, every backend: the image is bit-identical
-    and an owned restore continues exactly like a never-persisted twin."""
+    and an owned restore continues exactly like a never-persisted twin.
+    Whatever store was saved, the restore is the columnar store."""
     engine = _engine(random_graph, backend)
     twin = _engine(random_graph, backend)
     directory = save_shared_snapshot(engine, tmp_path / "snap")
     restored = ENGINE_OPENERS[opener](directory, rng=np.random.default_rng(77))
-    assert type(restored.walks) is type(engine.walks)
-    assert restored.store_backend == backend
+    assert type(restored.walks) is ColumnarWalkStore
+    assert restored.store_backend == "columnar"
     assert restored.walks_per_node == engine.walks_per_node
     assert restored.reset_probability == engine.reset_probability
     assert restored.graph.edge_list() == engine.graph.edge_list()
@@ -282,58 +284,15 @@ class TestFormatVersions:
 
 
 class TestShardedManifests:
-    """Per-shard blocks behind the manifest's ``num_shards``; corruption."""
-
-    def _sharded_engine(self, graph, *, shards=5, rng=21):
-        return _engine(graph, f"sharded:{shards}", rng=rng)
-
-    def test_sharded_store_roundtrips_as_manifest(self, random_graph, tmp_path):
-        engine = self._sharded_engine(random_graph)
-        directory = save_shared_snapshot(engine.walks, tmp_path / "sharded")
-        meta = json.loads((directory / "manifest.json").read_text())
-        assert meta["num_shards"] == 5
-        assert "shard4_global_ids" in meta["arrays"]
-        restored = attach_walk_store(directory)
-        assert isinstance(restored, ShardedWalkIndex)
-        assert restored.num_shards == 5
-        restored.check_invariants()
-        assert restored.visit_count_array().tolist() == (
-            engine.walks.visit_count_array().tolist()
-        )
-        for gid, segment in engine.walks.iter_segments():
-            assert restored.segment_nodes(gid) == segment.nodes
-
-    def test_sharded_engine_roundtrip_continues_identically(
-        self, random_graph, tmp_path
-    ):
-        engine = self._sharded_engine(random_graph)
-        twin = self._sharded_engine(random_graph)
-        restored = load_shared_engine(
-            save_shared_snapshot(engine, tmp_path / "engine"),
-            rng=np.random.default_rng(77),
-        )
-        assert restored.store_backend == "sharded:5"
-        # a restored engine and a never-persisted twin (same fresh RNG)
-        # keep producing identical results through the single-edge paths
-        twin.set_rng_state(restored.rng_state())
-        for source, target in ((1, 5), (5, 9), (2, 4)):
-            if restored.graph.has_edge(source, target):
-                ra = restored.remove_edge(source, target)
-                rb = twin.remove_edge(source, target)
-            else:
-                ra = restored.add_edge(source, target)
-                rb = twin.add_edge(source, target)
-            assert ra.dirty_nodes == rb.dirty_nodes
-        assert np.array_equal(restored.pagerank(), twin.pagerank())
+    """Manifest and file faults first written against the retired per-shard
+    layout; they hold for the flat layout too (names kept stable)."""
 
     def test_truncated_manifest_raises_cleanly(self, random_graph, tmp_path):
-        directory = save_shared_snapshot(
-            self._sharded_engine(random_graph), tmp_path / "trunc"
-        )
-        arena = directory / "shard1_segment_nodes.npy"
-        arena.write_bytes(arena.read_bytes()[:16])
+        directory = save_shared_snapshot(_engine(random_graph), tmp_path / "trunc")
+        column = directory / "segment_parities.npy"
+        column.write_bytes(column.read_bytes()[:16])
         _assert_rejected(
-            directory, WalkStateError, "array 'shard1_segment_nodes' unreadable"
+            directory, WalkStateError, "array 'segment_parities' unreadable"
         )
 
     def test_garbage_file_raises_cleanly(self, tmp_path):
@@ -342,33 +301,11 @@ class TestShardedManifests:
         _assert_rejected(path, ConfigurationError, "not a shared snapshot")
 
     def test_missing_shard_arrays_raise_cleanly(self, random_graph, tmp_path):
-        directory = save_shared_snapshot(
-            self._sharded_engine(random_graph, shards=3), tmp_path / "missing"
-        )
+        directory = save_shared_snapshot(_engine(random_graph), tmp_path / "missing")
         _edit_manifest(
-            directory, lambda meta: meta["arrays"].remove("shard2_segment_nodes")
+            directory, lambda meta: meta["arrays"].remove("segment_lengths")
         )
-        _assert_rejected(
-            directory, WalkStateError, "missing array 'shard2_segment_nodes'"
-        )
-
-    def test_manifest_without_shard_count_raises_cleanly(
-        self, random_graph, tmp_path
-    ):
-        directory = save_shared_snapshot(
-            self._sharded_engine(random_graph, shards=2), tmp_path / "nocount"
-        )
-        _edit_manifest(directory, lambda meta: meta.pop("num_shards"))
-        _assert_rejected(directory, WalkStateError, "lacks a shard count")
-        _edit_manifest(directory, lambda meta: meta.update(num_shards=-2))
-        _assert_rejected(directory, WalkStateError, "must not be negative")
-
-    def test_corrupt_global_ids_raise_cleanly(self, random_graph, tmp_path):
-        directory = save_shared_snapshot(
-            self._sharded_engine(random_graph, shards=2), tmp_path / "badids"
-        )
-        _poke(directory, "shard0_global_ids", 0, 10**9)  # escapes the id space
-        _assert_rejected(directory, WalkStateError, "corrupt snapshot")
+        _assert_rejected(directory, WalkStateError, "missing array 'segment_lengths'")
 
 
 class TestSharedSnapshotAttach:
@@ -403,20 +340,6 @@ class TestSharedSnapshotAttach:
         with pytest.raises(WalkStateError, match="read-only"):
             attached.apply(ArrivalEvent("remove", *_traversed_edge(engine)))
 
-    def test_sharded_attach_round_trips_read_only(
-        self, random_graph, tmp_path
-    ):
-        engine = IncrementalPageRank.from_graph(
-            random_graph, walks_per_node=2, rng=10, store_backend="sharded:3"
-        )
-        directory = save_shared_snapshot(engine, tmp_path / "sharded")
-        attached = attach_engine(directory)
-        assert isinstance(attached.walks, ShardedWalkIndex)
-        assert attached.walks.readonly
-        assert _segments(attached.walks) == _segments(engine.walks)
-        with pytest.raises(WalkStateError, match="read-only"):
-            attached.walks.add_segment(WalkSegment([0, 1], END_RESET))
-
     def test_missing_directory_and_manifest_rejected(self, tmp_path):
         _assert_rejected(
             tmp_path / "nowhere", ConfigurationError, "not a shared snapshot"
@@ -446,6 +369,26 @@ class TestSharedSnapshotAttach:
         )
         _edit_manifest(directory, lambda meta: meta.pop("arrays"))
         _assert_rejected(directory, WalkStateError, "lacks an array listing")
+
+    def test_retired_sharded_layout_rejected(self, random_graph, tmp_path):
+        """A snapshot in the retired per-shard layout (``num_shards`` plus
+        ``shard<i>_``-prefixed columns and a ``global_ids`` table, no flat
+        columns) is refused, not misread."""
+        directory = save_shared_snapshot(_engine(random_graph), tmp_path / "snap")
+        segments = np.load(directory / "segment_lengths.npy").size
+        for name in persistence._COLUMNS:
+            (directory / f"{name}.npy").rename(directory / f"shard0_{name}.npy")
+        np.save(directory / "shard0_global_ids.npy", np.arange(segments))
+
+        def reshard(meta):
+            meta["num_shards"] = 1
+            meta["arrays"] = sorted(
+                [f"shard0_{name}" for name in persistence._COLUMNS]
+                + ["shard0_global_ids", "edge_sources", "edge_targets"]
+            )
+
+        _edit_manifest(directory, reshard)
+        _assert_rejected(directory, WalkStateError, "missing array 'segment_nodes'")
 
     def test_missing_array_file_rejected(self, random_graph, tmp_path):
         directory = save_shared_snapshot(_engine(random_graph), tmp_path / "snap")

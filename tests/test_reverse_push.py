@@ -7,7 +7,7 @@ The load-bearing properties:
   pi_s(v) r[v]`` and therefore lands within ``r_max`` of brute-force
   power iteration — exactly, when ``r_max`` is driven to fp-zero;
 * threshold decisions (``estimate >= delta``) match the baseline on every
-  backend (object / columnar / sharded), because the push reads only the
+  backend (object / columnar), because the push reads only the
   shared graph and the forward walks run on the kernel's normative
   streams;
 * the serve stack carries the query class end-to-end: result caching with
@@ -36,7 +36,7 @@ from repro.serve.batcher import QueryRequest, RequestBatcher
 from repro.serve.engine import QueryEngine
 from repro.workloads.twitter_like import twitter_like_graph
 
-BACKENDS = ["object", "columnar", "sharded:3"]
+BACKENDS = ["object", "columnar"]
 
 
 def _engine(graph, backend="columnar", *, rng=11, walks=3):

@@ -7,7 +7,7 @@ assertion catches, so the center of gravity here is differential:
   engine (graph, walk store, scores, *and* RNG stream) is
   byte-for-byte the engine an eager caller would have produced with the
   same seeded RNG, for random op sequences with random flush points,
-  across object / columnar / sharded backends;
+  across object / columnar backends;
 * **granularity invariance** — flushing after every event, at arbitrary
   midpoints, or once at the end all land on the same final state;
 * **coalesce equivalence** — a coalesce-mode flush equals one eager
@@ -44,7 +44,7 @@ from repro.serve.engine import QueryEngine
 from repro.serve.stats import ServeStats
 from repro.workloads.twitter_like import twitter_like_graph
 
-BACKENDS = ["object", "columnar", "sharded:3"]
+BACKENDS = ["object", "columnar"]
 
 NUM_NODES = 40
 NUM_EDGES = 220

