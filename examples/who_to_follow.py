@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.core.query_kernel import SalsaQueryKernel
+from repro.core.query_kernel import QueryKernel
 from repro.core.salsa import IncrementalSALSA
 from repro.workloads.seeds import users_with_friend_count
 from repro.workloads.twitter_like import twitter_like_stream
@@ -55,7 +55,8 @@ def main() -> None:
     seeds = users_with_friend_count(
         graph, minimum=10, maximum=40, count=args.users, rng=args.seed
     )
-    salsa_query = SalsaQueryKernel(engine.pagerank_store, reset_probability=0.2)
+    # the kernel walks SALSA's alternating schedule on a side-tracking store
+    salsa_query = QueryKernel(engine.pagerank_store, reset_probability=0.2)
 
     def recommend(user: int, banner: str) -> None:
         friends = set(graph.out_view(user))

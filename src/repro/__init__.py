@@ -35,7 +35,6 @@ from repro.core import (
     PprToTargetResult,
     QueryKernel,
     ReversePushEngine,
-    SalsaQueryKernel,
     StalenessScheduler,
     TopKResult,
     UpdateReport,
@@ -77,7 +76,6 @@ __all__ = [
     "IncrementalPageRank",
     "IncrementalSALSA",
     "QueryKernel",
-    "SalsaQueryKernel",
     "ReversePushEngine",
     "BidirectionalKernel",
     "PprToTargetResult",

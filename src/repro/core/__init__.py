@@ -16,19 +16,14 @@ from repro.core.incremental import (
 )
 from repro.core.monte_carlo import MonteCarloPageRank, build_walk_store
 from repro.core.personalized import FetchCache, StitchedWalkResult
-from repro.core.query_kernel import QueryKernel, SalsaQueryKernel
+from repro.core.query_kernel import QueryKernel
 from repro.core.reverse_push import (
     BidirectionalKernel,
     PprToTargetResult,
     ReversePushEngine,
     ReversePushResult,
 )
-from repro.core.salsa import (
-    IncrementalSALSA,
-    SalsaWalkResult,
-    batch_salsa_walks,
-    simulate_salsa_walk,
-)
+from repro.core.salsa import IncrementalSALSA
 from repro.core.scheduler import (
     REPAIR_COALESCE,
     REPAIR_REPLAY,
@@ -65,8 +60,6 @@ __all__ = [
     "SIDE_HUB",
     "SIDE_AUTHORITY",
     "simulate_reset_walk",
-    "simulate_salsa_walk",
-    "batch_salsa_walks",
     "MonteCarloPageRank",
     "build_walk_store",
     "IncrementalPageRank",
@@ -78,11 +71,9 @@ __all__ = [
     "REPAIR_REPLAY",
     "REPAIR_COALESCE",
     "IncrementalSALSA",
-    "SalsaWalkResult",
     "StitchedWalkResult",
     "FetchCache",
     "QueryKernel",
-    "SalsaQueryKernel",
     "ReversePushEngine",
     "ReversePushResult",
     "BidirectionalKernel",

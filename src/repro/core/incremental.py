@@ -417,18 +417,39 @@ class IncrementalPageRank:
         return engine
 
     def initialize(self) -> None:
-        """(Re)simulate ``R`` segments per existing node, vectorized."""
+        """(Re)simulate ``R`` segments per existing node and start side, vectorized.
+
+        The new store tracks sides iff the current one does; a side-tracking
+        store gets ``R`` hub-start and ``R`` authority-start segments per
+        node (DESIGN.md §5).
+        """
         graph = self.graph
-        store = make_walk_store(graph.num_nodes, backend=self.store_backend)
+        period = self._period
+        store = make_walk_store(
+            graph.num_nodes, track_sides=period == 2, backend=self.store_backend
+        )
         if graph.num_nodes:
             csr = graph.to_csr("out")
+            in_csr = graph.to_csr("in") if period == 2 else None
             starts = np.repeat(
                 np.arange(graph.num_nodes, dtype=np.int64), self.walks_per_node
             )
-            result = batch_reset_walks(
-                csr, starts, self.reset_probability, self._rng
+            results = [
+                batch_reset_walks(
+                    csr,
+                    starts,
+                    self.reset_probability,
+                    self._rng,
+                    start_side=side,
+                    in_csr=in_csr,
+                )
+                for side in range(period)
+            ]
+            store.bulk_add_segments(
+                [segment for result in results for segment in result.segments],
+                np.concatenate([result.end_reasons for result in results]),
+                np.repeat(np.arange(period), starts.size),
             )
-            store.bulk_add_segments(result.segments, result.end_reasons)
         self.adopt_store(store)
 
     def adopt_store(self, store: WalkIndex) -> None:
@@ -458,6 +479,28 @@ class IncrementalPageRank:
     def num_nodes(self) -> int:
         return self.graph.num_nodes
 
+    @property
+    def _period(self) -> int:
+        """The walk's direction-schedule period, read off the store.
+
+        1 is PageRank (every visit flips the ε-coin and steps forward); 2
+        is SALSA (hub visits flip and step forward, authority visits step
+        backward).  A position ``p`` of a segment with parity ``q`` is on
+        side ``(p + q) % period`` (DESIGN.md §5).
+        """
+        return 2 if self.walks.track_sides else 1
+
+    def _walk(self, start: int, side: int, rng) -> WalkSegment:
+        """A fresh scalar walk from ``start``, entered on ``side``."""
+        return simulate_reset_walk(
+            self.graph,
+            start,
+            self.reset_probability,
+            rng,
+            start_side=side,
+            period=self._period,
+        )
+
     # ------------------------------------------------------------------
     # Node arrival
     # ------------------------------------------------------------------
@@ -470,20 +513,35 @@ class IncrementalPageRank:
         return node
 
     def _ensure_walks(self, node: int) -> int:
-        """Make sure ``node`` owns R segments; returns steps simulated."""
-        self.walks.ensure_node(node)
-        existing = len(self.walks.segments_starting_at(node))
+        """Make sure ``node`` owns R segments per start side; returns steps."""
+        walks = self.walks
+        walks.ensure_node(node)
+        owned = walks.segments_starting_at(node)
         steps = 0
-        for _ in range(existing, self.walks_per_node):
-            segment = simulate_reset_walk(
-                self.graph, node, self.reset_probability, self._rng
-            )
-            self.walks.add_segment(segment)
-            steps += len(segment.nodes) - 1
+        for side in range(self._period):
+            existing = sum(1 for sid in owned if walks.parity_of(sid) == side)
+            for _ in range(existing, self.walks_per_node):
+                segment = self._walk(node, side, self._rng)
+                walks.add_segment(segment)
+                steps += len(segment.nodes) - 1
         return steps
 
+    def _affected(self, source: int, target: int) -> list[int]:
+        """Segments that may have stepped over edge ``(source, target)``.
+
+        Forward steps are taken at ``source``; an alternating walk also
+        takes backward steps at ``target`` (Theorem 6), so its segments
+        visiting ``target`` follow, deduplicated.
+        """
+        affected = self.walks.segment_ids_visiting(source)
+        if self._period == 2:
+            affected = list(
+                dict.fromkeys(affected + self.walks.segment_ids_visiting(target))
+            )
+        return affected
+
     # ------------------------------------------------------------------
-    # Edge arrival (Theorem 4's operation)
+    # Edge arrival (Theorem 4's operation; Theorem 6's for SALSA)
     # ------------------------------------------------------------------
 
     def add_edge(self, source: int, target: int) -> UpdateReport:
@@ -497,7 +555,7 @@ class IncrementalPageRank:
         # walks are created: segments simulated after the insertion are
         # already correct for the new graph and must NOT be redirected.
         walk_count_before = self.walks.distinct_segment_count(source)
-        affected_ids = self.walks.segment_ids_visiting(source)
+        affected_ids = self._affected(source, target)
         self.social_store.add_edge(source, target)
         report = UpdateReport(operation="add", edge=(source, target))
         dirty = {source, target}
@@ -512,27 +570,29 @@ class IncrementalPageRank:
         )
 
         rng = self._rng
-        redirect_probability = 1.0 / degree
+        # per side: the probability a stored step there takes the new edge
+        redirect_probability = (1.0 / degree, 1.0 / self.graph.in_degree(target))
         for segment_id in affected_ids:
             nodes = self.walks.segment_nodes(segment_id)
-            handled = self._maybe_redirect(
+            parity = self.walks.parity_of(segment_id)
+            if self._maybe_redirect(
                 segment_id,
                 nodes,
-                source,
-                target,
+                parity,
+                (source, target),
                 redirect_probability,
                 report,
                 rng,
                 dirty,
-            )
-            if not handled:
-                if (
-                    nodes[-1] == source
-                    and self.walks.end_reason_of(segment_id) == END_DANGLING
-                ):
-                    self._extend_dangling(segment_id, nodes, report, rng, dirty)
-                else:
-                    report.segments_examined += 1
+            ):
+                continue
+            if self.walks.end_reason_of(
+                segment_id
+            ) == END_DANGLING and self._extend_dangling(
+                segment_id, nodes, parity, (source, target), report, rng, dirty
+            ):
+                continue
+            report.segments_examined += 1
 
         report.dirty_nodes = frozenset(dirty)
         self._finish_report(report)
@@ -544,37 +604,35 @@ class IncrementalPageRank:
         self,
         segment_id: int,
         nodes: list[int],
-        source: int,
-        target: int,
-        redirect_probability: float,
+        parity: int,
+        edge: tuple[int, int],
+        redirect_probability: tuple[float, float],
         report: UpdateReport,
         rng: np.random.Generator,
         dirty: set[int],
     ) -> bool:
-        """Flip a 1/d coin per step taken at ``source``; reroute on first hit.
+        """Flip a coin per step that could take ``edge``; reroute on first hit.
 
-        ``nodes`` is the segment's (materialized) node list — the scan
-        works on it directly so the hot loop never touches store objects.
+        A hub visit at ``edge[0]`` may step forward to ``edge[1]``
+        (probability ``1/outdeg``); an authority visit at ``edge[1]`` may
+        step backward to ``edge[0]`` (``1/indeg``).  ``nodes`` is the
+        segment's (materialized) node list — the scan works on it directly
+        so the hot loop never touches store objects.
         """
+        period = self._period
         for position in range(len(nodes) - 1):
-            if nodes[position] != source:
+            side = (position + parity) % period
+            if nodes[position] != edge[side]:
                 continue
-            if rng.random() >= redirect_probability:
+            if rng.random() >= redirect_probability[side]:
                 continue
             dirty.add(nodes[0])
             if self.reroute_policy == REROUTE_RESIMULATE:
-                self._resimulate_from_source(segment_id, nodes, report, rng)
+                self._resimulate_from_source(segment_id, nodes, parity, report, rng)
             else:
-                discarded = len(nodes) - (position + 1)
-                continuation = simulate_reset_walk(
-                    self.graph, target, self.reset_probability, rng
+                self._splice(
+                    segment_id, nodes, parity, position, edge[1 - side], report, rng
                 )
-                self.walks.replace_suffix(
-                    segment_id, position, continuation.nodes, continuation.end_reason
-                )
-                report.steps_discarded += discarded
-                report.steps_resimulated += len(continuation.nodes)
-                report.segments_rerouted += 1
             return True
         return False
 
@@ -582,28 +640,50 @@ class IncrementalPageRank:
         self,
         segment_id: int,
         nodes: list[int],
+        parity: int,
+        edge: tuple[int, int],
         report: UpdateReport,
         rng: np.random.Generator,
         dirty: set[int],
-    ) -> None:
-        """Resume a segment stranded at a node that just gained an out-edge.
+    ) -> bool:
+        """Resume a segment stranded where ``edge`` just made a step possible.
 
-        The segment's final ε-coin already came up "continue"; the pending
-        step is taken uniformly over the node's *current* out-edges, then
-        the walk proceeds normally.
+        The segment's pending step (the ε-coin already came up "continue")
+        is taken uniformly over the endpoint's *current* edges in its
+        side's direction, then the walk proceeds normally.
         """
-        node = nodes[-1]
+        position = len(nodes) - 1
+        side = (position + parity) % self._period
+        if nodes[-1] != edge[side]:
+            return False
         dirty.add(nodes[0])
-        next_node = self.graph.random_out_neighbor(node, rng)
-        continuation = simulate_reset_walk(
-            self.graph, next_node, self.reset_probability, rng
-        )
+        next_node = self._random_neighbor(edge[side], side, rng)
+        self._splice(segment_id, nodes, parity, position, next_node, report, rng)
+        return True
+
+    def _random_neighbor(self, node: int, side: int, rng) -> int:
+        """One uniform step from a visit to ``node`` on ``side``."""
+        if side == 0:
+            return self.graph.random_out_neighbor(node, rng)
+        return self.graph.random_in_neighbor(node, rng)
+
+    def _splice(
+        self,
+        segment_id: int,
+        nodes: list[int],
+        parity: int,
+        keep_until: int,
+        next_node: int,
+        report: UpdateReport,
+        rng: np.random.Generator,
+    ) -> None:
+        """Keep ``nodes[:keep_until + 1]``, step to ``next_node``, resimulate."""
+        side = (keep_until + 1 + parity) % self._period
+        continuation = self._walk(next_node, side, rng)
         self.walks.replace_suffix(
-            segment_id,
-            len(nodes) - 1,
-            continuation.nodes,
-            continuation.end_reason,
+            segment_id, keep_until, continuation.nodes, continuation.end_reason
         )
+        report.steps_discarded += len(nodes) - (keep_until + 1)
         report.steps_resimulated += len(continuation.nodes)
         report.segments_rerouted += 1
 
@@ -611,14 +691,13 @@ class IncrementalPageRank:
         self,
         segment_id: int,
         nodes: list[int],
+        parity: int,
         report: UpdateReport,
         rng: np.random.Generator,
     ) -> None:
         """§2.2's simplified policy: throw the segment away and re-walk."""
         report.steps_discarded += len(nodes) - 1
-        replacement = simulate_reset_walk(
-            self.graph, nodes[0], self.reset_probability, rng
-        )
+        replacement = self._walk(nodes[0], parity, rng)
         self.walks.rebuild_segment(
             segment_id, replacement.nodes, replacement.end_reason
         )
@@ -638,34 +717,34 @@ class IncrementalPageRank:
         report = UpdateReport(operation="remove", edge=(source, target))
         dirty = {source, target}
         rng = self._rng
-        for segment_id in self.walks.segment_ids_visiting(source):
+        edge = (source, target)
+        for segment_id in self._affected(source, target):
             nodes = self.walks.segment_nodes(segment_id)
-            position = self._first_use_of_edge(nodes, source, target)
+            parity = self.walks.parity_of(segment_id)
+            position = self._first_use_of_edge(nodes, parity, edge)
             if position is None:
                 report.segments_examined += 1
                 continue
             dirty.add(nodes[0])
             if self.reroute_policy == REROUTE_RESIMULATE:
-                self._resimulate_from_source(segment_id, nodes, report, rng)
+                self._resimulate_from_source(segment_id, nodes, parity, report, rng)
                 continue
-            discarded = len(nodes) - (position + 1)
-            # Re-take the step over the remaining edges; the ε-coin at
-            # ``source`` already came up "continue", so it is NOT reflipped.
-            if self.graph.out_degree(source) == 0:
+            # Re-take the step over the remaining edges; the ε-coin at the
+            # step's node already came up "continue", so it is NOT reflipped.
+            side = (position + parity) % self._period
+            node = edge[side]
+            degree = (
+                self.graph.out_degree(node) if side == 0 else self.graph.in_degree(node)
+            )
+            if degree == 0:
                 self.walks.replace_suffix(segment_id, position, [], END_DANGLING)
-                resimulated = 0
+                report.steps_discarded += len(nodes) - (position + 1)
+                report.segments_rerouted += 1
             else:
-                next_node = self.graph.random_out_neighbor(source, rng)
-                continuation = simulate_reset_walk(
-                    self.graph, next_node, self.reset_probability, rng
+                next_node = self._random_neighbor(node, side, rng)
+                self._splice(
+                    segment_id, nodes, parity, position, next_node, report, rng
                 )
-                self.walks.replace_suffix(
-                    segment_id, position, continuation.nodes, continuation.end_reason
-                )
-                resimulated = len(continuation.nodes)
-            report.steps_discarded += discarded
-            report.steps_resimulated += resimulated
-            report.segments_rerouted += 1
 
         report.dirty_nodes = frozenset(dirty)
         self._finish_report(report)
@@ -673,12 +752,14 @@ class IncrementalPageRank:
         self._publish_update(report.dirty_nodes)
         return report
 
-    @staticmethod
     def _first_use_of_edge(
-        nodes: list[int], source: int, target: int
+        self, nodes: list[int], parity: int, edge: tuple[int, int]
     ) -> Optional[int]:
+        """First position whose step crossed ``edge`` in its side's direction."""
+        period = self._period
         for position in range(len(nodes) - 1):
-            if nodes[position] == source and nodes[position + 1] == target:
+            side = (position + parity) % period
+            if nodes[position] == edge[side] and nodes[position + 1] == edge[1 - side]:
                 return position
         return None
 
@@ -711,7 +792,15 @@ class IncrementalPageRank:
         must be valid to apply in order (no duplicate adds, no removals of
         absent edges).  ``max_steps`` caps resimulated tail length
         (default :func:`repro.core.walks.default_max_steps`).
+
+        The scan only looks for forward steps, so a side-tracking (SALSA)
+        engine refuses batches and repairs event by event instead.
         """
+        if self._period == 2:
+            raise ConfigurationError(
+                "apply_batch's repair scan is forward-only and cannot repair "
+                "SALSA's backward steps; apply events one at a time with apply()"
+            )
         events = list(events)
         report = BatchUpdateReport(num_events=len(events))
         if not events:
@@ -1048,7 +1137,7 @@ class IncrementalPageRank:
 
     def __repr__(self) -> str:
         return (
-            f"IncrementalPageRank(nodes={self.num_nodes}, "
+            f"{type(self).__name__}(nodes={self.num_nodes}, "
             f"edges={self.graph.num_edges}, R={self.walks_per_node}, "
             f"eps={self.reset_probability}, arrivals={self.arrivals_processed})"
         )

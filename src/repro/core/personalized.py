@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter, OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
@@ -194,7 +194,13 @@ class FetchCache:
 
 @dataclass
 class StitchedWalkResult:
-    """Outcome of one Algorithm-1 walk."""
+    """Outcome of one Algorithm-1 walk.
+
+    ``visit_counts`` holds the visits on side 0 of the walk's direction
+    schedule (DESIGN.md §5): every visit of a PageRank walk, the hub
+    visits of a SALSA walk.  ``authority_counts`` holds a SALSA walk's
+    authority visits and is empty for PageRank.
+    """
 
     seed: int
     length: int
@@ -207,6 +213,7 @@ class StitchedWalkResult:
     #: First-visits served from a shared :class:`FetchCache` instead of the
     #: store (zero unless a cache was passed to the query kernel).
     cached_fetches: int = 0
+    authority_counts: Counter = field(default_factory=Counter)
 
     def frequencies(self, num_nodes: int) -> np.ndarray:
         """Visit frequencies as a dense vector (≈ personalized PageRank)."""
@@ -223,13 +230,19 @@ class StitchedWalkResult:
 
         Ties broken by node id for determinism.
         """
-        banned = set(exclude)
-        ranked = sorted(
-            (
-                (node, count)
-                for node, count in self.visit_counts.items()
-                if node not in banned
-            ),
-            key=lambda pair: (-pair[1], pair[0]),
-        )
-        return ranked[:k]
+        return _ranked(self.visit_counts, k, exclude)
+
+    def top_authorities(
+        self, k: int, *, exclude: Iterable[int] = ()
+    ) -> list[tuple[int, int]]:
+        """:meth:`top`'s rule over the authority visits (SALSA)."""
+        return _ranked(self.authority_counts, k, exclude)
+
+
+def _ranked(counts: Counter, k: int, exclude: Iterable[int]) -> list[tuple[int, int]]:
+    banned = set(exclude)
+    ranked = sorted(
+        ((node, count) for node, count in counts.items() if node not in banned),
+        key=lambda pair: (-pair[1], pair[0]),
+    )
+    return ranked[:k]

@@ -1,8 +1,11 @@
 """The Algorithm-1 walker: batch walk stitching over the stores (DESIGN.md §10).
 
-:class:`QueryKernel` is the only personalized-PageRank walker in the
-library (:class:`SalsaQueryKernel` is its alternating-walk sibling); every
-served answer, experiment and estimator walks through it.  It advances
+:class:`QueryKernel` is the only personalized walker in the library, for
+PageRank and SALSA alike; every served answer, experiment and estimator
+walks through it.  It follows the store's direction schedule (DESIGN.md
+§5): PageRank's on a plain store, SALSA's alternating hub/authority walk on
+a side-tracking one.  The schedule picks one of two loop bodies once per
+batch, so the PageRank loop pays no per-step schedule branch.  It advances
 ``B`` stitched walks per call and moves all O(visits) work into numpy:
 
 * **Per-stream block RNG** — each walk consumes uniforms from its own
@@ -27,6 +30,9 @@ uniform.  The walk loop is the same in both modes, so a sampled-mode walk
 is bit-identical to the full-mode walk on the same stream; only the store
 traffic differs.  A :class:`~repro.core.personalized.FetchCache` holds
 whole adjacency lists, which this mode never reads, so it is refused.
+Remark 1 is defined for forward steps only, so an alternating walk on a
+sampled-edge store is refused too (and so is a fetch cache, which holds no
+in-adjacency).
 
 **RNG stream contract (normative).**  Each query walks with its own
 ``np.random.Generator`` stream — by default spawned from the query's
@@ -79,14 +85,13 @@ from repro.core.reverse_push import (
     default_r_max,
     default_walk_length,
 )
-from repro.core.salsa import SalsaWalkResult
 from repro.core.walks import SIDE_HUB
 from repro.errors import ConfigurationError
 from repro.obs.profile import StageProfiler
 from repro.rng import RngLike, ensure_rng
 from repro.store.pagerank_store import FETCH_FULL, PageRankStore
 
-__all__ = ["QueryKernel", "SalsaQueryKernel"]
+__all__ = ["QueryKernel"]
 
 #: Uniforms drawn per refill of a walk's private stream buffer.  Drawing a
 #: block changes no individual draw, so no result depends on its size.
@@ -94,11 +99,28 @@ _RNG_BLOCK = 256
 
 
 class _NodeInfo:
-    """Per-batch shared payload of one fetched node (PPR)."""
+    """Per-batch shared payload of one fetched node.
 
-    __slots__ = ("nseg", "views", "sizes", "neighbors", "degree", "cached")
+    An alternating walk's payload (``parities`` given) also carries the
+    per-side columns: segment pools, adjacencies and degrees, indexed by
+    side (0 = hub: forward, 1 = authority: backward).
+    """
 
-    def __init__(self, views, neighbors, degree, cached):
+    __slots__ = (
+        "nseg",
+        "views",
+        "sizes",
+        "neighbors",
+        "degree",
+        "cached",
+        "pools",
+        "adjacency",
+        "degrees",
+    )
+
+    def __init__(
+        self, views, neighbors, degree, cached, parities=None, in_neighbors=None
+    ):
         self.nseg = len(views)
         #: Whole-segment views; splicing records the view as-is and the
         #: assembly pass drops each view's leading source node, so no
@@ -112,6 +134,15 @@ class _NodeInfo:
         #: Whether a sequential reference replay would find this node in
         #: the shared fetch cache (flips True after the first walk pays).
         self.cached = cached
+        if parities is not None:
+            #: pools[side]: whole-segment views starting on that side, in
+            #: fetch order; consumed from the END (the reference's pop()).
+            self.pools = tuple(
+                [view for view, parity in zip(views, parities) if parity == side]
+                for side in (0, 1)
+            )
+            self.adjacency = (neighbors, in_neighbors)
+            self.degrees = (degree, len(in_neighbors))
 
 
 class _SampledEdges:
@@ -131,21 +162,6 @@ class _SampledEdges:
     def __getitem__(self, index):
         self.social.stats.record("random_out_neighbor")
         return self.social.graph.out_view(self.node)[index]
-
-
-class _SalsaNodeInfo:
-    """Per-batch shared payload of one fetched node (SALSA, both sides)."""
-
-    __slots__ = ("pools", "sizes", "out_neighbors", "in_neighbors", "degrees")
-
-    def __init__(self, forward, backward, out_neighbors, in_neighbors):
-        #: pools[side]: whole-segment views in fetch order; consumed from
-        #: the END (matching the reference's ``pool.pop()``).
-        self.pools = (forward, backward)
-        self.sizes = (len(forward), len(backward))
-        self.out_neighbors = out_neighbors
-        self.in_neighbors = in_neighbors
-        self.degrees = (len(out_neighbors), len(in_neighbors))
 
 
 def _counts_per_walk(
@@ -198,13 +214,23 @@ def _per_walk_visit_counts(
     chunk_tails,
     step_counts,
     step_nodes,
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Reduce the raw event streams to per-walk ``(nodes, counts)`` plus
-    per-walk spliced-step totals (seed visits excluded — the caller adds
-    them, or skips them when the seed is excluded from a ranking)."""
+    chunk_sides=None,
+    step_sides=None,
+) -> tuple[list[list[tuple[np.ndarray, np.ndarray]]], np.ndarray]:
+    """Reduce the raw event streams to per-walk ``(nodes, counts)`` per
+    side, plus per-walk spliced-step totals (seed visits excluded — the
+    caller adds them, or skips them when the seed is excluded from a
+    ranking).
+
+    Without ``chunk_sides`` every visit is on side 0 and one side is
+    returned.  With them (an alternating walk) a tail visit at offset ``o``
+    of a segment spliced on side ``s`` is on side ``(s + o) % 2``, a plain
+    step's side is in ``step_sides``, and both sides are returned.
+    """
     walk_ids = np.arange(num_walks, dtype=np.int64)
     owner_parts: list[np.ndarray] = []
     node_parts: list[np.ndarray] = []
+    side_parts: list[np.ndarray] = []
     segment_steps = np.zeros(num_walks, dtype=np.int64)
     if chunk_tails:
         lens = np.fromiter(
@@ -220,9 +246,14 @@ def _per_walk_visit_counts(
         # chunks are whole segments; drop each one's leading source
         # (only its tail was spliced into the walk)
         nodes = np.concatenate(chunk_tails)
+        starts = np.cumsum(lens) - lens
         keep = np.ones(nodes.size, dtype=bool)
-        keep[np.cumsum(lens) - lens] = False
+        keep[starts] = False
         node_parts.append(nodes[keep])
+        if chunk_sides is not None:
+            offsets = np.arange(nodes.size, dtype=np.int64) - np.repeat(starts, lens)
+            first = np.repeat(np.asarray(chunk_sides, dtype=np.int64), lens)
+            side_parts.append(((first + offsets) & 1)[keep])
         segment_steps = np.bincount(
             per_chunk_owner, weights=tail_lens, minlength=num_walks
         ).astype(np.int64)
@@ -231,7 +262,19 @@ def _per_walk_visit_counts(
             np.repeat(walk_ids, np.asarray(step_counts, dtype=np.int64))
         )
         node_parts.append(np.asarray(step_nodes, dtype=np.int64))
-    return _counts_per_walk(owner_parts, node_parts, num_walks), segment_steps
+        if step_sides is not None:
+            side_parts.append(np.asarray(step_sides, dtype=np.int64))
+    if chunk_sides is None:
+        return [_counts_per_walk(owner_parts, node_parts, num_walks)], segment_steps
+    if not owner_parts:
+        return [_counts_per_walk([], [], num_walks)] * 2, segment_steps
+    owners = np.concatenate(owner_parts)
+    nodes = np.concatenate(node_parts)
+    sides = np.concatenate(side_parts)
+    return [
+        _counts_per_walk([owners[sides == side]], [nodes[sides == side]], num_walks)
+        for side in (0, 1)
+    ], segment_steps
 
 
 def _resolve_walks(seeds, lengths, rngs, rng_seed):
@@ -319,9 +362,12 @@ class QueryKernel:
         node: int,
         fetch_cache: Optional[FetchCache],
         cache_guard: int,
+        alternating: bool = False,
     ) -> _NodeInfo:
         """Load one node's payload; *physical* fetches are billed in bulk
-        by the caller (one ``stats.record("fetch", n)`` per batch)."""
+        by the caller (one ``stats.record("fetch", n)`` per batch).  An
+        ``alternating`` walk's payload adds segment parities and the
+        in-adjacency (it never has a fetch cache)."""
         payload = fetch_cache.lookup(node) if fetch_cache is not None else None
         if payload is not None:
             views = [
@@ -349,6 +395,13 @@ class QueryKernel:
         else:  # Remark 1: the degree now, one sampled edge per plain step
             neighbors = _SampledEdges(social, node)
             degree = social.out_degree(node)
+        sides = ()
+        if alternating:
+            walks = store.walks
+            sides = (
+                [walks.parity_of(sid) for sid in walks.segments_starting_at(node)],
+                list(social.in_neighbors(node)),
+            )
         if span is not None:
             tracer.finish_leaf(span)
         if fetch_cache is not None:
@@ -361,7 +414,7 @@ class QueryKernel:
                 ),
                 guard_version=cache_guard,
             )
-        return _NodeInfo(views, neighbors, degree, False)
+        return _NodeInfo(views, neighbors, degree, False, *sides)
 
     # ------------------------------------------------------------------
     # The batch engine
@@ -384,14 +437,29 @@ class QueryKernel:
         streams are derived from the query identity (see the module
         docstring's RNG contract).  Walks may overshoot their target by a
         final segment splice, exactly like the reference.
+
+        The walk follows the store's direction schedule (DESIGN.md §5):
+        PageRank's on a plain store, SALSA's alternating walk on a
+        side-tracking one.  The loop is chosen here, once per batch.
         """
         seeds, targets, generators = _resolve_walks(
             seeds, lengths, rngs, rng_seed
         )
         num_walks = len(seeds)
+        alternating = self.store.walks.track_sides
         if fetch_cache is not None and self.store.fetch_mode != FETCH_FULL:
             raise ConfigurationError(
                 "fetch_cache requires a store with fetch_mode='full'"
+            )
+        if alternating and self.store.fetch_mode != FETCH_FULL:
+            raise ConfigurationError(
+                "Remark 1's sampled-edge fetch covers forward steps only; an "
+                "alternating (SALSA) walk needs a store with fetch_mode='full'"
+            )
+        if alternating and fetch_cache is not None:
+            raise ConfigurationError(
+                "a fetch_cache holds forward adjacency only; an alternating "
+                "(SALSA) walk cannot use one"
             )
         if num_walks == 0:
             return []
@@ -405,7 +473,8 @@ class QueryKernel:
             if self._batch_counter is not None:
                 self._batch_counter.inc()
                 self._walk_counter.inc(num_walks)
-            raw = self._run(seeds, targets, generators, use_segments, fetch_cache)
+            run = self._run_alternating if alternating else self._run
+            raw = run(seeds, targets, generators, use_segments, fetch_cache)
             profiler = self.profiler
             if profiler is not None and profiler.enabled:
                 start = perf_counter()
@@ -637,6 +706,132 @@ class QueryKernel:
             step_nodes,
         )
 
+    def _run_alternating(self, seeds, targets, generators, use_segments, _cache):
+        """The alternating (SALSA, period 2) body of :meth:`_run`.
+
+        Same streams, payloads, billing and event shapes, on the period-2
+        schedule: ε-coins flip at hub visits only, a hub visit steps over
+        an out-edge and an authority visit over an in-edge, and a splice
+        takes the last unused segment *starting on the visit's side*.  The
+        events also record sides, so the reduce splits hub from authority
+        visits.  Stage profiling covers the reduce only.
+        """
+        num_walks = len(seeds)
+        eps = self.reset_probability
+        block = _RNG_BLOCK
+        visited = [0] * num_walks
+        resets = [0] * num_walks
+        splices = [0] * num_walks
+        plain = [0] * num_walks
+        fetches = [0] * num_walks
+        chunk_counts = [0] * num_walks
+        chunk_tails: list[np.ndarray] = []
+        chunk_sides: list[int] = []  # side of the spliced segment's source
+        step_counts = [0] * num_walks
+        step_nodes: list[int] = []
+        step_sides: list[int] = []
+        node_info: dict[int, _NodeInfo] = {}
+        physical_loads = 0
+
+        for walk in range(num_walks):
+            seed = seeds[walk]
+            target = targets[walk]
+            random_block = generators[walk].random
+            buffer: list[float] = []
+            buffer_len = 0
+            position = 0
+            count = 1  # the initial hub visit of the seed
+            chunks_before = len(chunk_tails)
+            steps_before = len(step_nodes)
+            resets_w = 0
+            fetches_w = 0
+            node = seed
+            side = SIDE_HUB
+            # per node: [unused hub-start, unused authority-start, payload]
+            cursors: dict[int, list] = {}
+
+            while count < target:
+                if side == SIDE_HUB:
+                    if position >= buffer_len:
+                        buffer = random_block(block).tolist()
+                        buffer_len = block
+                        position = 0
+                    coin = buffer[position]
+                    position += 1
+                    if coin < eps:
+                        resets_w += 1
+                        count += 1
+                        node = seed
+                        continue
+                entry = cursors.get(node)
+                if entry is None:
+                    # first visit: the fetch pass (re-enters, re-flips at hubs)
+                    info = node_info.get(node)
+                    if info is None:
+                        info = self._load_node(node, None, 0, True)
+                        node_info[node] = info
+                        physical_loads += 1
+                    pools = info.pools if use_segments else ((), ())
+                    cursors[node] = [len(pools[0]), len(pools[1]), info]
+                    fetches_w += 1
+                    continue
+                info = entry[2]
+                index = entry[side] - 1
+                if index >= 0:
+                    # splice; the segment ends in its own reset to the seed
+                    entry[side] = index
+                    view = info.pools[side][index]
+                    chunk_tails.append(view)
+                    chunk_sides.append(side)
+                    count += view.shape[0]
+                    node = seed
+                    side = SIDE_HUB
+                    continue
+                degree = info.degrees[side]
+                if degree == 0:
+                    resets_w += 1  # dangling: reset to the seed
+                    count += 1
+                    node = seed
+                    side = SIDE_HUB
+                    continue
+                if position >= buffer_len:
+                    buffer = random_block(block).tolist()
+                    buffer_len = block
+                    position = 0
+                node = info.adjacency[side][int(buffer[position] * degree)]
+                position += 1
+                side = 1 - side
+                step_nodes.append(node)
+                step_sides.append(side)
+                count += 1
+
+            splices_w = len(chunk_tails) - chunks_before
+            visited[walk] = count
+            resets[walk] = resets_w + splices_w  # each splice ends in a reset
+            splices[walk] = splices_w
+            plain[walk] = len(step_nodes) - steps_before
+            fetches[walk] = fetches_w
+            chunk_counts[walk] = splices_w
+            step_counts[walk] = plain[walk]
+
+        if physical_loads:
+            self.store.stats.record("fetch", physical_loads)
+        return (
+            seeds,
+            visited,
+            resets,
+            splices,
+            plain,
+            fetches,
+            [0] * num_walks,
+            chunk_counts,
+            chunk_tails,
+            step_counts,
+            step_nodes,
+            chunk_sides,
+            step_sides,
+        )
+
     def _assemble(
         self,
         seeds,
@@ -650,22 +845,31 @@ class QueryKernel:
         chunk_tails,
         step_counts,
         step_nodes,
+        chunk_sides=None,
+        step_sides=None,
     ) -> list[StitchedWalkResult]:
         """Reduce the recorded event streams to per-walk results, vectorized.
 
         ``chunk_tails`` / ``step_nodes`` are flat event streams grouped by
         walk (``chunk_counts`` / ``step_counts`` delimit them); owners are
         reconstructed with one ``np.repeat`` per stream and all visit
-        counts reduce in a single lexsort + run-length-encode pass.
+        counts reduce in a single lexsort + run-length-encode pass (one
+        per side for an alternating walk, whose events carry sides).
         """
         num_walks = len(seeds)
-        per_walk, segment_steps = _per_walk_visit_counts(
-            num_walks, chunk_counts, chunk_tails, step_counts, step_nodes
+        per_side, segment_steps = _per_walk_visit_counts(
+            num_walks,
+            chunk_counts,
+            chunk_tails,
+            step_counts,
+            step_nodes,
+            chunk_sides,
+            step_sides,
         )
 
         results = []
         for walk, seed in enumerate(seeds):
-            nodes_b, counts_b = per_walk[walk]
+            nodes_b, counts_b = per_side[0][walk]
             visit_counts: Counter = Counter()
             # plain dict fill (no Counter.update dispatch, no intermediate)
             dict.update(
@@ -673,6 +877,12 @@ class QueryKernel:
             )
             # every reset revisited the seed, plus the initial visit
             visit_counts[seed] += resets[walk] + 1
+            authority_counts: Counter = Counter()
+            if len(per_side) == 2:
+                nodes_b, counts_b = per_side[1][walk]
+                dict.update(
+                    authority_counts, zip(nodes_b.tolist(), counts_b.tolist())
+                )
             results.append(
                 StitchedWalkResult(
                     seed=seed,
@@ -684,6 +894,7 @@ class QueryKernel:
                     plain_steps=plain[walk],
                     resets=resets[walk],
                     cached_fetches=cached[walk],
+                    authority_counts=authority_counts,
                 )
             )
         return results
@@ -800,302 +1011,3 @@ class QueryKernel:
                 bidirectional.estimate(push, seed, delta=delta, walk_length=0)
                 for seed in seeds
             ]
-
-
-class SalsaQueryKernel:
-    """Batch personalized-SALSA walk stitching (the PPR kernel's sibling).
-
-    Same architecture — per-walk uniform streams, once-per-batch node
-    payloads, chunked visit assembly — specialized to the alternating
-    hub/authority walk of personalized SALSA: ε-coins are flipped at hub
-    visits only, stored segments splice from the side-matching pool
-    (consumed from the end, like the reference), and every recorded visit
-    carries its side parity so hub/authority counts reduce in one
-    vectorized pass.
-    """
-
-    def __init__(
-        self,
-        pagerank_store: PageRankStore,
-        *,
-        reset_probability: float = 0.2,
-    ) -> None:
-        if not pagerank_store.walks.track_sides:
-            raise ConfigurationError(
-                "SalsaQueryKernel needs a side-tracking walk store "
-                "(build it via IncrementalSALSA)"
-            )
-        if not 0.0 < reset_probability <= 1.0:
-            raise ConfigurationError(
-                f"reset_probability must be in (0, 1], got {reset_probability}"
-            )
-        self.store = pagerank_store
-        self.reset_probability = reset_probability
-
-    def _load_node(self, node: int) -> _SalsaNodeInfo:
-        store = self.store
-        store.stats.record("fetch")
-        walks = store.walks
-        segment_ids = walks.segments_starting_at(node)
-        views = walks.segment_views_starting_at(node)
-        forward = []
-        backward = []
-        for segment_id, view in zip(segment_ids, views):
-            if walks.parity_of(segment_id) == SIDE_HUB:
-                forward.append(view)
-            else:
-                backward.append(view)
-        return _SalsaNodeInfo(
-            forward,
-            backward,
-            list(store.social_store.out_neighbors(node)),
-            list(store.social_store.in_neighbors(node)),
-        )
-
-    def batch_stitched_walks(
-        self,
-        seeds: Sequence[int],
-        lengths,
-        *,
-        rngs: Optional[Sequence[RngLike]] = None,
-        rng_seed: int = 0,
-    ) -> list[SalsaWalkResult]:
-        """Run one personalized-SALSA walk per seed, batched."""
-        seeds, targets, generators = _resolve_walks(
-            seeds, lengths, rngs, rng_seed
-        )
-        num_walks = len(seeds)
-        if num_walks == 0:
-            return []
-
-        eps = self.reset_probability
-        block = _RNG_BLOCK
-
-        visited = [0] * num_walks
-        resets = [0] * num_walks
-        splices = [0] * num_walks
-        plain = [0] * num_walks
-        fetches = [0] * num_walks
-        # Flat event streams grouped by walk (see the PPR kernel): spliced
-        # segment views with the splice side, and plain-step (node, side)
-        # visits.
-        chunk_counts = [0] * num_walks
-        chunk_views: list[np.ndarray] = []
-        chunk_parity: list[int] = []  # side of the tail's first visit
-        step_counts = [0] * num_walks
-        step_nodes: list[int] = []
-        step_sides: list[int] = []
-
-        node_info: dict[int, _SalsaNodeInfo] = {}
-        node_info_get = node_info.get
-        load_node = self._load_node
-        views_append = chunk_views.append
-        parity_append = chunk_parity.append
-        nodes_append = step_nodes.append
-        sides_append = step_sides.append
-
-        for walk in range(num_walks):
-            seed = seeds[walk]
-            target = targets[walk]
-            random_block = generators[walk].random
-            buffer: list[float] = []
-            buffer_len = 0
-            position = 0
-            count = 1  # the initial hub visit of the seed
-            node = seed
-            side = SIDE_HUB
-            resets_w = 0
-            splices_w = 0
-            plain_w = 0
-            fetches_w = 0
-            chunks_w = 0
-            steps_w = 0
-            # per-node [forward remaining, backward remaining] cursors
-            cursors: dict[int, list[int]] = {}
-            cursors_get = cursors.get
-
-            while count < target:
-                if side == SIDE_HUB:
-                    if position >= buffer_len:
-                        buffer = random_block(block).tolist()
-                        buffer_len = block
-                        position = 0
-                    coin = buffer[position]
-                    position += 1
-                    if coin < eps:
-                        resets_w += 1
-                        count += 1
-                        node = seed
-                        continue  # side stays HUB
-                remaining = cursors_get(node)
-                if remaining is None:
-                    info = node_info_get(node)
-                    if info is None:
-                        info = load_node(node)
-                        node_info[node] = info
-                    cursors[node] = list(info.sizes)
-                    fetches_w += 1
-                    continue
-                info = node_info[node]
-                index = remaining[side] - 1
-                if index >= 0:
-                    remaining[side] = index
-                    view = info.pools[side][index]
-                    if view.shape[0] > 1:
-                        views_append(view[1:])
-                        parity_append((side + 1) & 1)
-                        chunks_w += 1
-                    splices_w += 1
-                    resets_w += 1  # the segment's own reset
-                    count += int(view.shape[0])
-                    node = seed
-                    side = SIDE_HUB
-                    continue
-                degree = info.degrees[side]
-                if degree == 0:
-                    resets_w += 1
-                    count += 1
-                    node = seed
-                    side = SIDE_HUB
-                    continue
-                if position >= buffer_len:
-                    buffer = random_block(block).tolist()
-                    buffer_len = block
-                    position = 0
-                adjacency = (
-                    info.out_neighbors if side == SIDE_HUB else info.in_neighbors
-                )
-                node = adjacency[int(buffer[position] * degree)]
-                position += 1
-                side = 1 - side
-                nodes_append(node)
-                sides_append(side)
-                steps_w += 1
-                plain_w += 1
-                count += 1
-
-            visited[walk] = count
-            resets[walk] = resets_w
-            splices[walk] = splices_w
-            plain[walk] = plain_w
-            fetches[walk] = fetches_w
-            chunk_counts[walk] = chunks_w
-            step_counts[walk] = steps_w
-
-        return self._assemble(
-            seeds,
-            visited,
-            resets,
-            splices,
-            plain,
-            fetches,
-            chunk_counts,
-            chunk_views,
-            chunk_parity,
-            step_counts,
-            step_nodes,
-            step_sides,
-        )
-
-    def _assemble(
-        self,
-        seeds,
-        visited,
-        resets,
-        splices,
-        plain,
-        fetches,
-        chunk_counts,
-        chunk_views,
-        chunk_parity,
-        step_counts,
-        step_nodes,
-        step_sides,
-    ) -> list[SalsaWalkResult]:
-        """Reduce recorded events to per-walk hub/authority counters.
-
-        Spliced tails carry the splice side; each visit's side is its
-        alternating parity within the tail, computed in one vectorized
-        pass before the same lexsort reduction the PPR kernel uses (run
-        separately per side).
-        """
-        num_walks = len(seeds)
-        walk_ids = np.arange(num_walks, dtype=np.int64)
-
-        side_parts: dict[int, tuple[list, list]] = {0: ([], []), 1: ([], [])}
-        if chunk_views:
-            lens = np.fromiter(
-                (tail.shape[0] for tail in chunk_views),
-                dtype=np.int64,
-                count=len(chunk_views),
-            )
-            per_chunk_owner = np.repeat(
-                walk_ids, np.asarray(chunk_counts, dtype=np.int64)
-            )
-            owners = np.repeat(per_chunk_owner, lens)
-            nodes = np.concatenate(chunk_views)
-            starts = np.cumsum(lens) - lens
-            offsets = np.arange(nodes.size, dtype=np.int64) - np.repeat(
-                starts, lens
-            )
-            parities = np.repeat(np.asarray(chunk_parity, dtype=np.int64), lens)
-            visit_sides = (offsets + parities) & 1
-            for side in (0, 1):
-                mask = visit_sides == side
-                if mask.any():
-                    side_parts[side][0].append(owners[mask])
-                    side_parts[side][1].append(nodes[mask])
-        if step_nodes:
-            owners = np.repeat(
-                walk_ids, np.asarray(step_counts, dtype=np.int64)
-            )
-            nodes = np.asarray(step_nodes, dtype=np.int64)
-            sides = np.asarray(step_sides, dtype=np.int64)
-            for side in (0, 1):
-                mask = sides == side
-                if mask.any():
-                    side_parts[side][0].append(owners[mask])
-                    side_parts[side][1].append(nodes[mask])
-
-        per_walk_hub = _counts_per_walk(*side_parts[SIDE_HUB], num_walks)
-        per_walk_auth = _counts_per_walk(*side_parts[1 - SIDE_HUB], num_walks)
-
-        results = []
-        for walk, seed in enumerate(seeds):
-            hub_nodes, hub_counts = per_walk_hub[walk]
-            auth_nodes, auth_counts = per_walk_auth[walk]
-            hub: Counter = Counter()
-            dict.update(hub, zip(hub_nodes.tolist(), hub_counts.tolist()))
-            # every reset revisited (seed, HUB), plus the initial visit
-            hub[seed] += resets[walk] + 1
-            authority: Counter = Counter()
-            dict.update(
-                authority, zip(auth_nodes.tolist(), auth_counts.tolist())
-            )
-            results.append(
-                SalsaWalkResult(
-                    seed=seed,
-                    length=visited[walk],
-                    hub_counts=hub,
-                    authority_counts=authority,
-                    fetches=fetches[walk],
-                    segments_used=splices[walk],
-                    plain_steps=plain[walk],
-                    resets=resets[walk],
-                )
-            )
-        return results
-
-    def stitched_walk(
-        self,
-        seed: int,
-        length: int,
-        *,
-        rng: RngLike = None,
-        rng_seed: int = 0,
-    ) -> SalsaWalkResult:
-        """The B=1 batch (identical to the walk inside any larger batch)."""
-        rngs = None if rng is None else [rng]
-        return self.batch_stitched_walks(
-            [seed], length, rngs=rngs, rng_seed=rng_seed
-        )[0]

@@ -29,6 +29,8 @@ in insertion order, ``iter_segments`` ascending by id.
 SALSA reuses the same stores with ``track_sides=True``: each segment
 carries a ``parity_offset`` and position ``p`` of a segment counts toward
 side ``(p + parity_offset) % 2`` (0 = hub visit, 1 = authority visit).
+That flag is the walk's direction schedule (DESIGN.md §5): period 1
+without it, period 2 with it, and :func:`simulate_reset_walk` walks either.
 """
 
 from __future__ import annotations
@@ -575,25 +577,36 @@ def simulate_reset_walk(
     rng: RngLike = None,
     *,
     max_steps: Optional[int] = None,
+    start_side: int = SIDE_HUB,
+    period: int = 1,
 ) -> WalkSegment:
-    """Scalar reset walk from ``start`` (coin flipped at every node, start
-    included).  Used for reroute continuations; bulk initialization goes
-    through :func:`repro.graph.csr.batch_reset_walks` instead.
+    """Scalar reset walk from ``start`` under the direction schedule.
+
+    Visit ``p`` of the walk is on side ``(start_side + p) % period``
+    (DESIGN.md §5).  A hub visit (side 0) flips the ε-coin and steps over
+    an out-edge; an authority visit (side 1, SALSA's ``period=2`` only)
+    steps over an in-edge without a coin.  ``period=1`` is PageRank's walk.
+    A missing edge in the required direction ends the segment
+    :data:`END_DANGLING`.  Used for reroute continuations; bulk
+    initialization goes through :func:`repro.graph.csr.batch_reset_walks`.
     """
     generator = ensure_rng(rng)
     if max_steps is None:
-        max_steps = default_max_steps(reset_probability)
+        max_steps = period * default_max_steps(reset_probability)
     nodes = [start]
     current = start
-    out_view = graph.out_view
+    side = start_side
+    neighbors = (graph.out_view, graph.in_view)
     integers = generator.integers
     random = generator.random
     for _ in range(max_steps):
-        if random() < reset_probability:
-            return WalkSegment(nodes, END_RESET)
-        adjacency = out_view(current)
+        if side == SIDE_HUB and random() < reset_probability:
+            return WalkSegment(nodes, END_RESET, parity_offset=start_side)
+        adjacency = neighbors[side](current)
         if not adjacency:
-            return WalkSegment(nodes, END_DANGLING)
+            return WalkSegment(nodes, END_DANGLING, parity_offset=start_side)
         current = adjacency[int(integers(len(adjacency)))]
         nodes.append(current)
-    return WalkSegment(nodes, END_RESET)  # safety cap; probability ≈ 0
+        side = (side + 1) % period
+    # safety cap; probability ≈ 0
+    return WalkSegment(nodes, END_RESET, parity_offset=start_side)

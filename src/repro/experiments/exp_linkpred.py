@@ -29,7 +29,7 @@ from repro.baselines.power_iteration import (
 )
 from repro.baselines.salsa_iterative import personalized_salsa, salsa_operators
 from repro.core.incremental import IncrementalPageRank
-from repro.core.query_kernel import QueryKernel, SalsaQueryKernel
+from repro.core.query_kernel import QueryKernel
 from repro.core.salsa import IncrementalSALSA
 from repro.experiments.common import ExperimentResult, register
 from repro.rng import ensure_rng, spawn
@@ -146,9 +146,7 @@ def run_table1(
             walks_per_node=walks_per_node,
             rng=salsa_rng,
         )
-        salsa_query = SalsaQueryKernel(
-            salsa_engine.pagerank_store, reset_probability=0.2
-        )
+        salsa_query = QueryKernel(salsa_engine.pagerank_store, reset_probability=0.2)
 
         def mc_pagerank_ranker(graph, seed):
             walk = pr_query.stitched_walk(seed, mc_walk_length, rng=mc_rng)

@@ -12,6 +12,8 @@ walker here advances *all* active walks one step per numpy round:
 
 This keeps walk-store initialization at a few numpy passes per expected
 segment length (``≈ 1/ε`` rounds), instead of millions of interpreter steps.
+The same walker serves SALSA's alternating schedule: given the in-adjacency
+too, its rounds alternate forward (coin, out-edge) and backward (in-edge).
 """
 
 from __future__ import annotations
@@ -90,25 +92,35 @@ def batch_reset_walks(
     rng: RngLike = None,
     *,
     max_steps: Optional[int] = None,
+    start_side: int = 0,
+    in_csr: Optional[CSRGraph] = None,
 ) -> BatchWalkResult:
     """Run one reset walk from every entry of ``starts``, vectorized.
 
-    Semantics (normative, see DESIGN.md §5): at each node the walk first
-    flips an ε-coin.  Heads (probability ``reset_probability``) ends the
-    segment with reason ``RESET``.  Tails at a node with no out-edges ends
-    it with reason ``DANGLING`` ("continue decided, step pending").  Tails
-    otherwise steps to a uniform random neighbour.
+    Semantics (normative, see DESIGN.md §5): at each hub visit the walk
+    first flips an ε-coin.  Heads (probability ``reset_probability``) ends
+    the segment with reason ``RESET``.  Tails at a node with no out-edges
+    ends it with reason ``DANGLING`` ("continue decided, step pending").
+    Tails otherwise steps to a uniform random neighbour.
+
+    Without ``in_csr`` every visit is a hub visit (PageRank, period 1).
+    With it the walks alternate (SALSA, period 2): round ``r`` is on side
+    ``(start_side + r) % 2``, and an authority round steps every walk over
+    ``in_csr`` with no coin.
 
     ``max_steps`` caps segment length as a safety valve (default
-    ``max(1000, 50/ε)``); capped walks are marked ``RESET`` and counted.
+    ``period · max(1000, 50/ε)``); capped walks are marked ``RESET`` and
+    counted.
     """
     if not 0.0 < reset_probability <= 1.0:
         raise ValueError(
             f"reset_probability must be in (0, 1], got {reset_probability}"
         )
     generator = ensure_rng(rng)
+    period = 1 if in_csr is None else 2
     if max_steps is None:
-        max_steps = max(1000, int(50.0 / reset_probability))
+        max_steps = period * max(1000, int(50.0 / reset_probability))
+    adjacency = (csr, in_csr)
 
     starts_arr = np.asarray(starts, dtype=np.int64)
     num_walks = len(starts_arr)
@@ -122,11 +134,15 @@ def batch_reset_walks(
     round_nodes: list[np.ndarray] = []
     capped = 0
 
-    for _ in range(max_steps):
+    for round_index in range(max_steps):
+        side = (start_side + round_index) % period
+        graph = adjacency[side]
         positions = current[active]
-        coins = generator.random(active.size)
-        continues = coins >= reset_probability
-        degrees = csr.indptr[positions + 1] - csr.indptr[positions]
+        if side == 0:
+            continues = generator.random(active.size) >= reset_probability
+        else:
+            continues = np.ones(active.size, dtype=bool)
+        degrees = graph.indptr[positions + 1] - graph.indptr[positions]
         dangling = continues & (degrees == 0)
         stepping = continues & (degrees > 0)
 
@@ -139,7 +155,7 @@ def batch_reset_walks(
             offsets = (generator.random(step_nodes.size) * step_degrees).astype(
                 np.int64
             )
-            successors = csr.indices[csr.indptr[step_nodes] + offsets]
+            successors = graph.indices[graph.indptr[step_nodes] + offsets]
             stepping_ids = active[stepping]
             round_ids.append(stepping_ids)
             round_nodes.append(successors)
@@ -162,12 +178,7 @@ def assemble_segments(
     round_ids: list[np.ndarray],
     round_nodes: list[np.ndarray],
 ) -> list[list[int]]:
-    """Turn per-round (walk-id, node) pairs into per-walk node lists.
-
-    Shared by the PageRank batch walker above and the SALSA batch walker in
-    :mod:`repro.core.salsa` (whose rounds alternate forward/backward steps
-    but produce the same (walk-id, node) stream shape).
-    """
+    """Turn per-round (walk-id, node) pairs into per-walk node lists."""
     num_walks = len(starts)
     if not round_ids:
         return [[int(s)] for s in starts]

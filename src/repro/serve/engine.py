@@ -20,7 +20,8 @@ There is one query path: every answer goes through
 :class:`~repro.serve.batcher.RequestBatcher` feeds whole drains per
 worker pass.  A ``sampled_edge`` store is rejected at construction: the
 shared fetch cache holds whole adjacency lists, which Remark 1's mode
-never reads.
+never reads.  So is a side-tracking (SALSA) store: answers are PageRank
+top-k and PPR estimates.
 
 **Determinism.**  Each query's walk RNG is derived from
 ``(rng_seed, query seed, walk length)`` — not from wall clock, arrival
@@ -247,6 +248,11 @@ class QueryEngine:
             raise ConfigurationError(
                 "QueryEngine requires fetch_mode='full' (its shared fetch "
                 "cache holds whole adjacency lists)"
+            )
+        if self.store.walks.track_sides:
+            raise ConfigurationError(
+                "QueryEngine serves PageRank walks; walk a side-tracking "
+                "(SALSA) store with QueryKernel directly"
             )
         return QueryKernel(
             self.store,

@@ -93,10 +93,11 @@ def save_shared_snapshot(target, directory: PathLike) -> Path:
     """Write the snapshot *directory* for ``target``; returns its path.
 
     ``target`` is an :class:`IncrementalPageRank` engine or a bare
-    :class:`WalkIndex`.  Layout: ``manifest.json`` (parameters and the
-    array listing) and one raw uncompressed ``.npy`` file per array, so
-    readers can memory-map the arenas instead of decompressing private
-    copies.
+    :class:`WalkIndex`.  A side-tracking (SALSA) engine is refused before
+    anything is written; its bare store round-trips.  Layout:
+    ``manifest.json`` (parameters and the array listing) and one raw
+    uncompressed ``.npy`` file per array, so readers can memory-map the
+    arenas instead of decompressing private copies.
 
     Only the manifest write is atomic — publishers that swap generations
     under live readers must write into a fresh directory and flip a
@@ -105,6 +106,12 @@ def save_shared_snapshot(target, directory: PathLike) -> Path:
     """
     from repro.core.incremental import IncrementalPageRank
 
+    if isinstance(target, IncrementalPageRank) and target.walks.track_sides:
+        # restore validates stored steps against the graph forward-only
+        raise ConfigurationError(
+            "cannot snapshot a side-tracking (SALSA) engine: restore checks "
+            "forward steps only; snapshot its bare walk store instead"
+        )
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     arrays: dict[str, np.ndarray] = {}

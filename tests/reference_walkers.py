@@ -1,13 +1,15 @@
-"""The scalar Algorithm-1 walkers: the oracle the query kernels are tested against.
+"""The scalar Algorithm-1 walkers: the oracle the query kernel is tested against.
 
 :class:`PersonalizedPageRank` and :class:`PersonalizedSALSA` run the §3
 stitched walk one Python step at a time, straight off
 :meth:`~repro.store.pagerank_store.PageRankStore.fetch` (the paper's fetch
-primitive).  The library walks with
-:class:`~repro.core.query_kernel.QueryKernel` and
-:class:`~repro.core.query_kernel.SalsaQueryKernel`; the two agree bit for
-bit whenever a walk takes no plain step and in distribution otherwise
-(``tests/test_query_kernel.py``).
+primitive), one walker per direction schedule.  The library walks both
+schedules with :class:`~repro.core.query_kernel.QueryKernel`, which follows
+the store's ``track_sides`` flag; kernel and oracle agree bit for bit
+whenever a walk takes no plain step and in distribution otherwise
+(``tests/test_query_kernel.py``).  Both return
+:class:`~repro.core.personalized.StitchedWalkResult`; a SALSA walk's hub
+visits are its ``visit_counts``.
 
 The walk, per visit: an ε-coin resets to the seed; otherwise an unfetched
 node is fetched (the counted operation Theorem 8 bounds) and the visit
@@ -22,7 +24,6 @@ from collections import Counter
 from typing import Optional
 
 from repro.core.personalized import StitchedWalkResult
-from repro.core.salsa import SalsaWalkResult
 from repro.core.topk import TopKResult, top_k_of_walk, walk_length_for_top_k
 from repro.core.walks import SIDE_AUTHORITY, SIDE_HUB
 from repro.errors import ConfigurationError
@@ -186,18 +187,14 @@ class PersonalizedSALSA:
 
     def stitched_walk(
         self, seed: int, length: int, *, rng: RngLike = None
-    ) -> SalsaWalkResult:
+    ) -> StitchedWalkResult:
         if length <= 0:
             raise ConfigurationError(f"length must be positive, got {length}")
         generator = ensure_rng(rng) if rng is not None else self._rng
-        result = SalsaWalkResult(
-            seed=seed,
-            length=1,
-            hub_counts=Counter({seed: 1}),
-            authority_counts=Counter(),
-            fetches=0,
+        result = StitchedWalkResult(
+            seed=seed, length=1, visit_counts=Counter({seed: 1}), fetches=0
         )
-        sides = (result.hub_counts, result.authority_counts)
+        sides = (result.visit_counts, result.authority_counts)
         fetched: dict[int, _SalsaFetched] = {}
         current, side = seed, SIDE_HUB
 
@@ -215,13 +212,14 @@ class PersonalizedSALSA:
                     for offset, node in enumerate(segment[1:], start=1):
                         sides[(side + offset) % 2][node] += 1
                     result.length += len(segment) - 1
+                    result.segment_steps += len(segment) - 1
                     result.segments_used += 1
                     state = None  # the segment ended in its own reset
                 elif not state.adjacency[side]:
                     state = None  # dangling: reset to the seed
             if state is None:
                 current, side = seed, SIDE_HUB
-                result.hub_counts[seed] += 1
+                result.visit_counts[seed] += 1
                 result.length += 1
                 result.resets += 1
                 continue

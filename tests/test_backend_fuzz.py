@@ -284,7 +284,7 @@ def replay(
                 trace.append(
                     (
                         "squery",
-                        tuple(sorted(walk.hub_counts.items())),
+                        tuple(sorted(walk.visit_counts.items())),
                         tuple(sorted(walk.authority_counts.items())),
                         walk.fetches,
                     )

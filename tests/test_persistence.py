@@ -176,6 +176,15 @@ class TestWalkStoreRoundTrip:
         with pytest.raises(WalkStateError, match="read-only"):
             attached.add_segment(WalkSegment([0, 1], END_RESET))
 
+    def test_salsa_engine_refused_before_writing(self, random_graph, tmp_path):
+        """Restore validates forward steps only, so a SALSA engine is
+        refused whole; its bare store round-trips (above)."""
+        engine = IncrementalSALSA.from_graph(random_graph, walks_per_node=2, rng=2)
+        directory = tmp_path / "salsa_engine"
+        with pytest.raises(ConfigurationError, match="side-tracking"):
+            save_shared_snapshot(engine, directory)
+        assert not directory.exists()
+
     def test_wrong_kind_rejected(self, random_graph, tmp_path):
         directory = save_shared_snapshot(_engine(random_graph), tmp_path / "snap")
         # an engine snapshot contains a store, so it attaches as one…

@@ -23,7 +23,7 @@ from reference_walkers import PersonalizedPageRank, PersonalizedSALSA, top_k_wit
 
 from repro.core.incremental import IncrementalPageRank
 from repro.core.personalized import FetchCache
-from repro.core.query_kernel import QueryKernel, SalsaQueryKernel
+from repro.core.query_kernel import QueryKernel
 from repro.core.salsa import IncrementalSALSA
 from repro.core.topk import top_k_of_walk
 from repro.errors import ConfigurationError
@@ -376,7 +376,7 @@ class TestSalsaKernel:
     def test_bit_identity_with_reference_in_segment_rich_regime(self):
         engine = self._salsa(walks=40)
         reference = PersonalizedSALSA(engine.pagerank_store)
-        kernel = SalsaQueryKernel(
+        kernel = QueryKernel(
             engine.pagerank_store,
             reset_probability=engine.reset_probability,
         )
@@ -388,18 +388,13 @@ class TestSalsaKernel:
                 seed, 120, rng=np.random.default_rng([41, seed])
             )
             assert expected.plain_steps == 0, "premise: no plain steps"
-            assert got.hub_counts == expected.hub_counts
+            assert got.visit_counts == expected.visit_counts
             assert got.authority_counts == expected.authority_counts
-            assert (got.length, got.fetches, got.segments_used, got.resets) == (
-                expected.length,
-                expected.fetches,
-                expected.segments_used,
-                expected.resets,
-            )
+            assert got == expected
 
     def test_batch_equals_singles_and_routes_via_personalized_salsa(self):
         engine = self._salsa(walks=4)
-        kernel = SalsaQueryKernel(
+        kernel = QueryKernel(
             engine.pagerank_store,
             reset_probability=engine.reset_probability,
         )
@@ -407,7 +402,7 @@ class TestSalsaKernel:
         batched = kernel.batch_stitched_walks(seeds, 200, rng_seed=5)
         for seed, walk in zip(seeds, batched):
             solo = kernel.batch_stitched_walks([seed], 200, rng_seed=5)[0]
-            assert solo.hub_counts == walk.hub_counts
+            assert solo.visit_counts == walk.visit_counts
             assert solo.authority_counts == walk.authority_counts
             assert solo.length == walk.length
             assert solo.fetches == walk.fetches
@@ -415,7 +410,7 @@ class TestSalsaKernel:
     def test_distributional_equivalence_with_reference(self):
         engine = self._salsa(walks=3)
         walker = PersonalizedSALSA(engine.pagerank_store)
-        kernel = SalsaQueryKernel(
+        kernel = QueryKernel(
             engine.pagerank_store,
             reset_probability=engine.reset_probability,
         )
@@ -443,11 +438,6 @@ class TestSalsaKernel:
             ).items():
                 reference_mass[node] += share / trials
         assert 0.5 * np.abs(kernel_mass - reference_mass).sum() < 0.08
-
-    def test_requires_side_tracking_store(self):
-        engine = _engine(nodes=20, edges=80)
-        with pytest.raises(ConfigurationError):
-            SalsaQueryKernel(engine.pagerank_store)
 
 
 # ----------------------------------------------------------------------

@@ -7,16 +7,25 @@ import pytest
 from reference_walkers import PersonalizedSALSA
 
 from repro.baselines.salsa_iterative import global_salsa, personalized_salsa
-from repro.core.query_kernel import SalsaQueryKernel
-from repro.core.salsa import (
-    IncrementalSALSA,
-    batch_salsa_walks,
-    simulate_salsa_walk,
+from repro.core.query_kernel import QueryKernel
+from repro.core.salsa import IncrementalSALSA
+from repro.core.walks import (
+    END_DANGLING,
+    SIDE_AUTHORITY,
+    SIDE_HUB,
+    simulate_reset_walk,
 )
-from repro.core.walks import END_DANGLING, SIDE_AUTHORITY, SIDE_HUB
 from repro.errors import ConfigurationError
+from repro.graph.csr import batch_reset_walks
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.generators import directed_cycle, directed_erdos_renyi
+
+
+def _alternating_walk(graph, start, start_side, eps, rng):
+    """The scalar walker on SALSA's period-2 schedule."""
+    return simulate_reset_walk(
+        graph, start, eps, rng, start_side=start_side, period=2
+    )
 
 
 def _assert_segment_valid(graph: DynamicDiGraph, segment) -> None:
@@ -35,21 +44,21 @@ class TestSalsaWalks:
         rng = np.random.default_rng(0)
         for start_side in (SIDE_HUB, SIDE_AUTHORITY):
             for _ in range(50):
-                seg = simulate_salsa_walk(random_graph, 5, start_side, 0.3, rng)
+                seg = _alternating_walk(random_graph, 5, start_side, 0.3, rng)
                 assert seg.parity_offset == start_side
                 _assert_segment_valid(random_graph, seg)
 
     def test_dangling_hub_start(self):
         graph = DynamicDiGraph.from_edges([(0, 1)])  # node 1: no out-edges
         rng = np.random.default_rng(1)
-        seg = simulate_salsa_walk(graph, 1, SIDE_HUB, 0.0001, rng)
+        seg = _alternating_walk(graph, 1, SIDE_HUB, 0.0001, rng)
         # either immediate (unlikely) reset or dangling at 1
         if seg.end_reason == END_DANGLING:
             assert seg.nodes == [1]
 
     def test_dangling_authority_start(self):
         graph = DynamicDiGraph.from_edges([(0, 1)])  # node 0: no in-edges
-        seg = simulate_salsa_walk(
+        seg = _alternating_walk(
             graph, 0, SIDE_AUTHORITY, 0.2, np.random.default_rng(2)
         )
         assert seg.nodes == [0]
@@ -60,7 +69,7 @@ class TestSalsaWalks:
         rng = np.random.default_rng(3)
         eps = 0.2
         lengths = [
-            len(simulate_salsa_walk(graph, 0, SIDE_HUB, eps, rng).nodes)
+            len(_alternating_walk(graph, 0, SIDE_HUB, eps, rng).nodes)
             for _ in range(20000)
         ]
         # forward-start visits: 1 + 2(G-1), mean 2/eps - 1 = 9
@@ -70,14 +79,14 @@ class TestSalsaWalks:
         out_csr = random_graph.to_csr("out")
         in_csr = random_graph.to_csr("in")
         starts = np.array([0] * 5000)
-        segments, reasons = batch_salsa_walks(
-            out_csr, in_csr, starts, SIDE_HUB, 0.25, rng=4
-        )
+        segments = batch_reset_walks(
+            out_csr, starts, 0.25, rng=4, start_side=SIDE_HUB, in_csr=in_csr
+        ).segments
         batch_mean = np.mean([len(s) for s in segments])
         rng = np.random.default_rng(5)
         scalar_mean = np.mean(
             [
-                len(simulate_salsa_walk(random_graph, 0, SIDE_HUB, 0.25, rng).nodes)
+                len(_alternating_walk(random_graph, 0, SIDE_HUB, 0.25, rng).nodes)
                 for _ in range(5000)
             ]
         )
@@ -202,6 +211,32 @@ class TestIncrementalMaintenance:
         assert rerouted > 0
         engine.walks.check_invariants()
 
+    def test_apply_batch_refused(self):
+        """The batch repair scan is forward-only; SALSA repairs per event."""
+        from repro.graph.arrival import ArrivalEvent
+
+        graph = directed_erdos_renyi(10, 30, rng=15)
+        engine = IncrementalSALSA.from_graph(graph, walks_per_node=2, rng=16)
+        u, v = next(
+            (u, v)
+            for u in range(10)
+            for v in range(10)
+            if u != v and not graph.has_edge(u, v)
+        )
+        with pytest.raises(ConfigurationError, match="forward-only"):
+            engine.apply_batch([ArrivalEvent("add", u, v)])
+        assert not engine.graph.has_edge(u, v)
+        assert engine.epoch == 1  # only the initial build was published
+
+    def test_query_engine_refused(self):
+        from repro.serve import QueryEngine
+
+        engine = IncrementalSALSA.from_graph(
+            directed_erdos_renyi(10, 30, rng=17), walks_per_node=2, rng=18
+        )
+        with pytest.raises(ConfigurationError, match="side-tracking"):
+            QueryEngine(engine)
+
     def test_node_arrival(self):
         engine = IncrementalSALSA(walks_per_node=3, rng=14)
         node = engine.add_node()
@@ -211,7 +246,9 @@ class TestIncrementalMaintenance:
         engine.walks.check_invariants()
 
 
-class TestPersonalizedSALSA:
+class _PersonalizedSALSAContract:
+    """What both walkers of the alternating schedule must do."""
+
     walker = PersonalizedSALSA
 
     def test_walk_runs_and_counts(self, pa_graph):
@@ -220,7 +257,7 @@ class TestPersonalizedSALSA:
         assert walk.length >= 3000
         assert walk.fetches > 0
         assert walk.fetches < 3000  # stitching must beat one-fetch-per-step
-        assert sum(walk.hub_counts.values()) + sum(
+        assert sum(walk.visit_counts.values()) + sum(
             walk.authority_counts.values()
         ) == walk.length
 
@@ -252,6 +289,14 @@ class TestPersonalizedSALSA:
         top = walk.top_authorities(10, exclude=banned)
         assert all(node not in banned for node, _ in top)
 
+    def test_bad_length(self, pa_graph):
+        engine = IncrementalSALSA.from_graph(pa_graph, walks_per_node=2, rng=21)
+        query = self.walker(engine.pagerank_store)
+        with pytest.raises(ConfigurationError):
+            query.stitched_walk(0, 0)
+
+
+class TestPersonalizedSALSA(_PersonalizedSALSAContract):
     def test_requires_side_tracking(self, tiny_graph):
         from repro.store.pagerank_store import PageRankStore
         from repro.store.social_store import SocialStore
@@ -260,12 +305,31 @@ class TestPersonalizedSALSA:
         with pytest.raises(ConfigurationError):
             self.walker(plain)
 
-    def test_bad_length(self, pa_graph):
-        engine = IncrementalSALSA.from_graph(pa_graph, walks_per_node=2, rng=21)
-        query = self.walker(engine.pagerank_store)
-        with pytest.raises(ConfigurationError):
-            query.stitched_walk(0, 0)
 
+class TestPersonalizedSALSAOnKernel(_PersonalizedSALSAContract):
+    """``QueryKernel`` walks the alternating schedule on a side-tracking store."""
 
-class TestPersonalizedSALSAOnKernel(TestPersonalizedSALSA):
-    walker = SalsaQueryKernel
+    walker = QueryKernel
+
+    def test_sampled_edge_store_refused(self, pa_graph):
+        """Remark 1 covers forward steps only: no silent full fetches."""
+        from repro.store.pagerank_store import PageRankStore
+
+        engine = IncrementalSALSA.from_graph(pa_graph, walks_per_node=2, rng=22)
+        sampled = PageRankStore(
+            engine.social_store,
+            walk_store=engine.walks,
+            fetch_mode="sampled_edge",
+        )
+        with pytest.raises(ConfigurationError, match="forward steps only"):
+            self.walker(sampled).stitched_walk(0, 100)
+        assert sampled.fetch_count == 0
+
+    def test_fetch_cache_refused(self, pa_graph):
+        from repro.core.personalized import FetchCache
+
+        engine = IncrementalSALSA.from_graph(pa_graph, walks_per_node=2, rng=23)
+        with pytest.raises(ConfigurationError, match="forward adjacency"):
+            self.walker(engine.pagerank_store).stitched_walk(
+                0, 100, fetch_cache=FetchCache()
+            )

@@ -169,7 +169,7 @@ def test_salsa_updates_and_queries_bit_identical(seed):
                 query_seed, 300, rng=np.random.default_rng([seed, step])
             )
             assert walk_c.authority_counts == walk_o.authority_counts
-            assert walk_c.hub_counts == walk_o.hub_counts
+            assert walk_c.visit_counts == walk_o.visit_counts
             assert walk_c.fetches == walk_o.fetches
             continue
         assert rc.segments_rerouted == ro.segments_rerouted
