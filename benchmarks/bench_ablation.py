@@ -28,7 +28,6 @@ from repro.core.incremental import (
 )
 from repro.core.query_kernel import QueryKernel
 from repro.graph.arrival import RandomPermutationArrival
-from repro.store.backend import InMemoryGraphBackend
 from repro.store.pagerank_store import FETCH_FULL, FETCH_SAMPLED_EDGE, PageRankStore
 from repro.store.social_store import SocialStore
 from repro.workloads.twitter_like import twitter_like_graph
@@ -114,7 +113,7 @@ def test_ablation_activation_prediction(benchmark):
     )
 
 
-class _AdjacencyMeter(InMemoryGraphBackend):
+class _AdjacencyMeter(SocialStore):
     """Counts the adjacency entries that full-mode fetches read."""
 
     edges_read = 0
@@ -135,8 +134,8 @@ def test_ablation_fetch_mode(benchmark):
     graph = twitter_like_graph(*size, rng=44)
 
     def walk_with(mode: str):
-        backend = _AdjacencyMeter(graph)
-        store = PageRankStore(SocialStore(backend), fetch_mode=mode)
+        social = _AdjacencyMeter(graph)
+        store = PageRankStore(social, fetch_mode=mode)
         engine = IncrementalPageRank(
             social_store=store.social_store,
             walks_per_node=10,
@@ -145,10 +144,10 @@ def test_ablation_fetch_mode(benchmark):
         )
         engine.initialize()
         kernel = QueryKernel(store, reset_probability=engine.reset_probability)
-        backend.edges_read = 0
+        social.edges_read = 0
         walks = [kernel.stitched_walk(s, 5000, rng_seed=6) for s in (10, 20, 30)]
-        sampled_reads = store.social_store.stats.count("random_out_neighbor")
-        return walks, backend.edges_read + sampled_reads
+        sampled_reads = social.stats.count("random_out_neighbor")
+        return walks, social.edges_read + sampled_reads
 
     full, full_edges = benchmark.pedantic(
         lambda: walk_with(FETCH_FULL), rounds=1, iterations=1

@@ -1,9 +1,9 @@
 #!/usr/bin/env python
-"""Capacity planning with the paper's closed forms + the sharded store.
+"""Capacity planning with the paper's closed forms + a measured store.
 
 Given a deployment target (users, follows/day, query rate), this script
 uses :mod:`repro.core.theory` to budget the walk store and then *measures*
-a scaled-down version against a sharded backend with a latency model —
+a scaled-down version, counting resimulated steps and store fetches —
 the arithmetic an engineer would do before running this system for real.
 
 Run:  python examples/capacity_planning.py [--target-users 1e8]
@@ -18,7 +18,6 @@ from repro.core.incremental import IncrementalPageRank
 from repro.core.query_kernel import QueryKernel
 from repro.graph.arrival import RandomPermutationArrival
 from repro.store.pagerank_store import PageRankStore
-from repro.store.sharded import ShardedGraphBackend
 from repro.store.social_store import SocialStore
 from repro.workloads.twitter_like import twitter_like_graph
 
@@ -48,10 +47,9 @@ def plan(target_users: float, follows_per_day: float, eps: float, walks: int) ->
 
 
 def measure(nodes: int, edges: int, walks: int, eps: float, seed: int) -> None:
-    print("\n== scaled-down measurement (sharded store, latency model) ==")
+    print("\n== scaled-down measurement ==")
     graph = twitter_like_graph(nodes, edges, rng=seed)
-    backend = ShardedGraphBackend(graph, num_shards=8)
-    social = SocialStore(backend)
+    social = SocialStore(graph)
     store = PageRankStore(social)
     engine = IncrementalPageRank(
         social_store=social,
@@ -84,17 +82,6 @@ def measure(nodes: int, edges: int, walks: int, eps: float, seed: int) -> None:
         query.stitched_walk(user, 4000, rng_seed=seed)
     fetches = store.fetch_count - before
     print(f"20 top-20 queries used {fetches} fetches ({fetches / 20:.1f}/query)")
-
-    from repro.store.stats import LatencyModel
-
-    model = LatencyModel(per_operation={"fetch": 0.002}, default_latency=0.0003)
-    seconds = model.simulated_seconds(store.stats)
-    print(f"simulated store time for those queries: {seconds * 1000:.0f} ms total")
-    loads = backend.shard_load()
-    print(
-        f"shard load: max {max(loads)}, min {min(loads)}, "
-        f"imbalance {backend.load_imbalance():.2f}x"
-    )
 
 
 def main() -> None:

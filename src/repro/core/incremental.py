@@ -405,7 +405,7 @@ class IncrementalPageRank:
         """Wrap an existing graph and initialize all walk segments (batch)."""
         registry = registry if registry is not None else MetricsRegistry()
         engine = cls(
-            SocialStore(graph=graph, registry=registry),
+            SocialStore(graph, registry=registry),
             reset_probability=reset_probability,
             walks_per_node=walks_per_node,
             rng=rng,

@@ -78,7 +78,7 @@ class IncrementalSALSA(IncrementalPageRank):
     def from_graph(cls, graph: DynamicDiGraph, **options) -> "IncrementalSALSA":
         """Wrap ``graph``; simulate ``R`` hub-start and ``R`` authority-start
         segments per node.  ``options`` are the constructor's."""
-        engine = cls(SocialStore.of_graph(graph), **options)
+        engine = cls(SocialStore(graph), **options)
         engine.initialize()
         return engine
 

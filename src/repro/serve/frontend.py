@@ -20,10 +20,9 @@ multi-process serve tier.  It owns
   heartbeat ages, and per-batch deadlines, and repairs what it finds
   (see below).
 
-Requests route to workers **seed-affine** (the same Fibonacci multiplier
-hash as :meth:`~repro.store.sharded.ShardedGraphBackend.shard_of`), so a
-hot seed always lands on the worker whose result/fetch caches already
-hold it.  Admission control is a
+Requests route to workers **seed-affine** (a Fibonacci multiplier hash,
+:meth:`MultiProcessFrontend.route`), so a hot seed always lands on the
+worker whose result/fetch caches already hold it.  Admission control is a
 bounded in-flight window shared across workers: past ``max_in_flight``
 outstanding requests, new work is shed with
 :class:`~repro.errors.LoadShedError` — backpressure at the front door
@@ -104,9 +103,9 @@ from repro.serve.worker import (
 
 __all__ = ["MultiProcessFrontend"]
 
-#: Fibonacci multiplier (golden-ratio hash) — the same node scrambler as
-#: :meth:`repro.store.sharded.ShardedGraphBackend.shard_of`, so routing is
-#: uniform even for dense ids.
+#: Fibonacci multiplier (golden-ratio hash): scrambles node ids so that
+#: routing is uniform even for dense id ranges and consecutive seeds do not
+#: pile onto one worker.
 _HASH_MULTIPLIER = 0x9E3779B9
 
 _READER_STOP = ("__reader_stop__",)

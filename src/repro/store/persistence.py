@@ -262,7 +262,7 @@ def _restore(
             graph.add_edge(int(source), int(target))
         store = _build_store(data, meta, copy=copy)
         engine = IncrementalPageRank(
-            SocialStore.of_graph(graph),
+            SocialStore(graph),
             reset_probability=float(meta["reset_probability"]),
             walks_per_node=int(meta["walks_per_node"]),
             reroute_policy=str(meta["reroute_policy"]),

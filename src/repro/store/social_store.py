@@ -1,4 +1,4 @@
-"""The Social Store: instrumented random-access facade over a backend.
+"""The Social Store: the counted random-access facade over the graph.
 
 This is the FlockDB analogue of the paper (§1: "the graph is usually stored
 in distributed shared memory, which we denote as 'Social Store'").  Engines
@@ -9,46 +9,30 @@ running-time comparisons are expressed in.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Sequence
 
 from repro.errors import StoreClosedError
 from repro.graph.digraph import DynamicDiGraph
 from repro.rng import RngLike
-from repro.store.backend import GraphBackend, InMemoryGraphBackend
 from repro.store.stats import CallStats
 
 __all__ = ["SocialStore"]
 
 
 class SocialStore:
-    """Instrumented adjacency API over a :class:`GraphBackend`."""
+    """Counted adjacency API over one :class:`DynamicDiGraph`.
 
-    def __init__(
-        self,
-        backend: Optional[GraphBackend] = None,
-        *,
-        graph: Optional[DynamicDiGraph] = None,
-        stats: Optional[CallStats] = None,
-        registry=None,
-    ) -> None:
-        if backend is not None and graph is not None:
-            raise ValueError("pass either backend or graph, not both")
-        if backend is None:
-            backend = InMemoryGraphBackend(graph)
-        self.backend = backend
-        #: ``registry`` mirrors the op counters into a shared
-        #: :class:`~repro.obs.MetricsRegistry` under ``store="social"``
-        #: (ignored when an explicit ``stats`` object is supplied).
-        self.stats = (
-            stats
-            if stats is not None
-            else CallStats(registry=registry, store="social")
-        )
+    :attr:`graph` is direct (uncounted) access to the underlying graph,
+    reserved for analysis/verification code; algorithm code goes through
+    the counted methods so experiments stay honest.  ``registry`` mirrors
+    the op counters into a shared :class:`~repro.obs.MetricsRegistry`
+    under ``store="social"``.
+    """
+
+    def __init__(self, graph: DynamicDiGraph | None = None, *, registry=None) -> None:
+        self.graph = graph if graph is not None else DynamicDiGraph()
+        self.stats = CallStats(registry=registry, store="social")
         self._closed = False
-
-    @classmethod
-    def of_graph(cls, graph: DynamicDiGraph) -> "SocialStore":
-        return cls(graph=graph)
 
     # ------------------------------------------------------------------
 
@@ -65,37 +49,28 @@ class SocialStore:
         return self._closed
 
     @property
-    def graph(self) -> DynamicDiGraph:
-        """Direct (uncounted) access to the underlying graph.
-
-        Reserved for analysis/verification code; algorithm code should go
-        through the counted methods so experiments stay honest.
-        """
-        return self.backend.graph  # type: ignore[attr-defined]
-
-    @property
     def num_nodes(self) -> int:
-        return self.backend.num_nodes
+        return self.graph.num_nodes
 
     @property
     def num_edges(self) -> int:
-        return self.backend.num_edges
+        return self.graph.num_edges
 
     # -- counted operations ----------------------------------------------
 
     def ensure_node(self, node: int) -> None:
         self._check_open()
-        self.backend.ensure_node(node)
+        self.graph.ensure_node(node)
 
     def add_edge(self, source: int, target: int) -> None:
         self._check_open()
         self.stats.record("add_edge")
-        self.backend.add_edge(source, target)
+        self.graph.add_edge(source, target)
 
     def remove_edge(self, source: int, target: int) -> None:
         self._check_open()
         self.stats.record("remove_edge")
-        self.backend.remove_edge(source, target)
+        self.graph.remove_edge(source, target)
 
     def apply_events(self, events: Iterable) -> Dict[str, int]:
         """Apply an ordered slice of arrival events in one store round-trip.
@@ -111,49 +86,49 @@ class SocialStore:
         before = self.stats.snapshot()
         self.stats.record("apply_batch")
         for event in events:
-            self.backend.ensure_node(max(event.source, event.target))
+            self.graph.ensure_node(max(event.source, event.target))
             if event.kind == "add":
                 self.stats.record("add_edge")
-                self.backend.add_edge(event.source, event.target)
+                self.graph.add_edge(event.source, event.target)
             else:
                 self.stats.record("remove_edge")
-                self.backend.remove_edge(event.source, event.target)
+                self.graph.remove_edge(event.source, event.target)
         return self.stats.delta_since(before)
 
     def has_edge(self, source: int, target: int) -> bool:
         self._check_open()
         self.stats.record("has_edge")
-        return self.backend.has_edge(source, target)
+        return self.graph.has_edge(source, target)
 
     def out_degree(self, node: int) -> int:
         self._check_open()
         self.stats.record("out_degree")
-        return self.backend.out_degree(node)
+        return self.graph.out_degree(node)
 
     def in_degree(self, node: int) -> int:
         self._check_open()
         self.stats.record("in_degree")
-        return self.backend.in_degree(node)
+        return self.graph.in_degree(node)
 
     def out_neighbors(self, node: int) -> Sequence[int]:
         self._check_open()
         self.stats.record("out_neighbors")
-        return self.backend.out_neighbors(node)
+        return self.graph.out_neighbors(node)
 
     def in_neighbors(self, node: int) -> Sequence[int]:
         self._check_open()
         self.stats.record("in_neighbors")
-        return self.backend.in_neighbors(node)
+        return self.graph.in_neighbors(node)
 
     def random_out_neighbor(self, node: int, rng: RngLike = None) -> int:
         self._check_open()
         self.stats.record("random_out_neighbor")
-        return self.backend.random_out_neighbor(node, rng)
+        return self.graph.random_out_neighbor(node, rng)
 
     def random_in_neighbor(self, node: int, rng: RngLike = None) -> int:
         self._check_open()
         self.stats.record("random_in_neighbor")
-        return self.backend.random_in_neighbor(node, rng)
+        return self.graph.random_in_neighbor(node, rng)
 
     def __repr__(self) -> str:
         return (

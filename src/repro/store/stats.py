@@ -3,10 +3,10 @@
 The paper's efficiency claims are stated in units of store operations —
 walk-segment updates (Theorem 4), database *fetches* (Theorem 8, Figure 6).
 :class:`CallStats` is the single counter object threaded through the stores
-so experiments can read those units off directly.  :class:`LatencyModel`
-optionally converts operation counts into simulated wall-clock time, which
-lets the benchmarks report "what this would cost against a remote store"
-without any actual network.
+so experiments can read those units off directly: one per store, billed
+by the :class:`~repro.store.social_store.SocialStore` facade for adjacency
+calls and by the :class:`~repro.store.pagerank_store.PageRankStore` for
+fetches.
 
 When constructed with a :class:`~repro.obs.MetricsRegistry`, every record
 is mirrored into the registry counter
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional
 
 from repro.errors import StaleSnapshotError
@@ -28,7 +27,7 @@ from repro.errors import StaleSnapshotError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["CallStats", "CallSnapshot", "LatencyModel"]
+__all__ = ["CallStats", "CallSnapshot"]
 
 _STORE_OPS_METRIC = "repro_store_operations_total"
 
@@ -136,41 +135,9 @@ class CallStats:
             self._counts.clear()
             self._epoch += 1
 
-    def merge(self, other: "CallStats") -> None:
-        """Fold another stats object into this one (fleet aggregation)."""
-        theirs = other.snapshot()
-        with self._lock:
-            self._counts.update(theirs)
-        if self._mirror is not None:
-            for operation, count in theirs.items():
-                self._mirror.inc(count, store=self.store, operation=operation)
-
     def __iter__(self) -> Iterator[tuple[str, int]]:
         return iter(sorted(self.snapshot().items()))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{op}={n}" for op, n in self)
         return f"CallStats({inner})"
-
-
-@dataclass
-class LatencyModel:
-    """Convert operation counts into simulated seconds.
-
-    ``per_operation`` maps operation names to seconds per call;
-    ``default_latency`` covers everything else.  The defaults model an
-    intra-datacenter RPC (~0.5 ms) against a shared-memory store, which is
-    the regime the paper targets; they are knobs, not claims.
-    """
-
-    per_operation: Dict[str, float] = field(default_factory=dict)
-    default_latency: float = 0.0005
-
-    def simulated_seconds(self, stats: CallStats) -> float:
-        total = 0.0
-        for operation, count in stats:
-            total += count * self.per_operation.get(operation, self.default_latency)
-        return total
-
-    def simulated_seconds_for(self, operation: str, count: int) -> float:
-        return count * self.per_operation.get(operation, self.default_latency)

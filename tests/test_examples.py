@@ -102,7 +102,7 @@ def test_capacity_planning():
     )
     assert result.returncode == 0, result.stderr
     assert "closed-form budget" in result.stdout
-    assert "shard load" in result.stdout
+    assert "top-20 queries used" in result.stdout
 
 
 @pytest.mark.slow

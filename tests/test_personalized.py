@@ -175,7 +175,7 @@ class TestSampledEdgeMode:
         """Remark 1: fetches may return a single sampled edge instead of
         the full adjacency; the walk must still work."""
         store = PageRankStore(
-            SocialStore.of_graph(social_graph), fetch_mode=FETCH_SAMPLED_EDGE
+            SocialStore(social_graph), fetch_mode=FETCH_SAMPLED_EDGE
         )
         engine = IncrementalPageRank(
             social_store=store.social_store,
@@ -199,7 +199,7 @@ class TestSampledEdgeModeOnKernel(TestSampledEdgeMode):
         is the full-mode walk; it reads one edge per plain step instead of
         whole adjacency lists, and refuses a fetch cache."""
         sampled = PageRankStore(
-            SocialStore.of_graph(social_graph),
+            SocialStore(social_graph),
             walk_store=engine.walks,
             fetch_mode=FETCH_SAMPLED_EDGE,
         )

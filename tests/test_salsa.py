@@ -301,7 +301,7 @@ class TestPersonalizedSALSA(_PersonalizedSALSAContract):
         from repro.store.pagerank_store import PageRankStore
         from repro.store.social_store import SocialStore
 
-        plain = PageRankStore(SocialStore.of_graph(tiny_graph))
+        plain = PageRankStore(SocialStore(tiny_graph))
         with pytest.raises(ConfigurationError):
             self.walker(plain)
 

@@ -56,7 +56,7 @@ def _fresh_engine(prefix_events):
     from repro.store.social_store import SocialStore
 
     engine = IncrementalPageRank(
-        SocialStore.of_graph(DynamicDiGraph(NUM_NODES)),
+        SocialStore(DynamicDiGraph(NUM_NODES)),
         walks_per_node=3,
         rng=np.random.default_rng(0),
     )
@@ -482,3 +482,39 @@ class TestWorkerConfigValidation:
             MultiProcessFrontend.route(frontend, seed) == worker
             for seed, worker in routes.items()
         )
+
+    @staticmethod
+    def _unstarted_frontend(num_workers):
+        frontend = object.__new__(MultiProcessFrontend)
+        frontend.num_workers = num_workers
+        return frontend
+
+    def test_route_fibonacci_hash_spreads_consecutive_ids(self):
+        """route() uses Fibonacci hashing: dense id ranges (the common
+        node-id layout) must spread near-uniformly and consecutive ids
+        must not pile onto the same worker."""
+        frontend = self._unstarted_frontend(8)
+        num_nodes = 10_000
+        counts = [0] * 8
+        consecutive_collisions = 0
+        previous = None
+        for node in range(num_nodes):
+            worker = MultiProcessFrontend.route(frontend, node)
+            assert 0 <= worker < 8
+            counts[worker] += 1
+            if previous is not None and worker == previous:
+                consecutive_collisions += 1
+            previous = worker
+        expected = num_nodes / 8
+        for count in counts:
+            assert abs(count - expected) < 0.05 * num_nodes
+        # a modulo hash would give 0 or num_nodes-1 collisions depending on
+        # alignment; Fibonacci scrambling keeps neighbours apart
+        assert consecutive_collisions < 0.30 * num_nodes
+
+    def test_route_is_deterministic_across_instances(self):
+        first = self._unstarted_frontend(8)
+        second = self._unstarted_frontend(8)
+        assert [MultiProcessFrontend.route(first, n) for n in range(256)] == [
+            MultiProcessFrontend.route(second, n) for n in range(256)
+        ]

@@ -1,22 +1,21 @@
-"""ShardedGraphBackend under concurrent read traffic (ISSUE 2 satellite).
+"""Social Store billing under concurrent read traffic.
 
 The serving layer's worker pool drives adjacency reads against the same
-sharded backend the maintenance path writes.  Two properties must hold:
+:class:`~repro.store.social_store.SocialStore` the maintenance path
+writes.  Two properties must hold:
 
-* **no lost operations** — per-shard ``CallStats`` are lock-protected, so
-  a threaded query storm bills exactly the same per-shard totals as the
-  identical serial storm (queries are deterministic: each walk's RNG is
-  derived from the query, never from execution order);
-* **correct attribution** — every operation lands on the shard owning the
-  touched adjacency row (out-ops on the source's shard, in-ops on the
-  target's), including when ``apply_batch`` slices interleave with query
-  bursts.
+* **no lost operations** — ``CallStats`` is lock-protected, so a threaded
+  query storm bills exactly the same operations as the identical serial
+  storm (queries are deterministic: each walk's RNG is derived from the
+  query, never from execution order);
+* **exact write billing** — ``apply_batch`` slices interleaved with query
+  bursts bill one ``add_edge`` per add event and one ``apply_batch``
+  marker per slice.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import Counter
 
 import pytest
 
@@ -24,24 +23,21 @@ from repro.core.incremental import IncrementalPageRank
 from repro.graph.arrival import RandomPermutationArrival
 from repro.serve import QueryEngine, QueryRequest, RequestBatcher
 from repro.serve.traffic import zipf_seed_sequence
-from repro.store.sharded import ShardedGraphBackend
 from repro.store.social_store import SocialStore
 from repro.store.stats import CallStats
 from repro.workloads.twitter_like import twitter_like_graph
 
-NUM_SHARDS = 4
 NODES = 200
 
 
-def _sharded_setup(prebuild_events):
-    backend = ShardedGraphBackend(num_shards=NUM_SHARDS)
+def _engine(prebuild_events):
     engine = IncrementalPageRank(
-        SocialStore(backend), walks_per_node=3, rng=5, reset_probability=0.3
+        SocialStore(), walks_per_node=3, rng=5, reset_probability=0.3
     )
     for _ in range(NODES):
         engine.add_node()
     engine.apply_batch(prebuild_events)
-    return backend, engine
+    return engine
 
 
 @pytest.fixture(scope="module")
@@ -49,20 +45,6 @@ def workload():
     graph = twitter_like_graph(NODES, 2400, rng=1)
     events = list(RandomPermutationArrival.of_graph(graph, rng=2))
     return events
-
-
-def _shard_snapshots(backend):
-    return [stats.snapshot() for stats in backend.shard_stats]
-
-
-def _delta(after, before):
-    return [
-        {
-            op: shard_after.get(op, 0) - shard_before.get(op, 0)
-            for op in set(shard_after) | set(shard_before)
-        }
-        for shard_after, shard_before in zip(after, before)
-    ]
 
 
 class TestConcurrentReadAttribution:
@@ -81,16 +63,15 @@ class TestConcurrentReadAttribution:
             thread.join()
         assert stats.count("op") == 8 * per_thread
 
-    def test_threaded_queries_bill_same_per_shard_totals_as_serial(
-        self, workload
-    ):
+    def test_threaded_queries_bill_same_reads_as_serial(self, workload):
         requests = [
             QueryRequest(seed=seed, k=5, length=400)
             for seed in zipf_seed_sequence(60, NODES, rng=3)
         ]
 
         def drive(threaded: bool):
-            backend, engine = _sharded_setup(workload[: len(workload) // 2])
+            engine = _engine(workload[: len(workload) // 2])
+            stats = engine.social_store.stats
             # shared fetch cache off: with it on, which thread fetches a
             # node first is racy (the walks stay identical, but the store
             # op counts would not be reproducible).  One future per
@@ -100,7 +81,7 @@ class TestConcurrentReadAttribution:
             # across the chunk — deliberately fewer reads; see the test
             # below).
             service = QueryEngine(engine, rng_seed=9, share_fetches=False)
-            before = _shard_snapshots(backend)
+            before = stats.snapshot()
             if threaded:
                 with RequestBatcher(
                     service, max_workers=4, max_queue_depth=4096
@@ -112,7 +93,7 @@ class TestConcurrentReadAttribution:
                     service.top_k(r.seed, r.k, length=r.length)
                     for r in requests
                 ]
-            return results, _delta(_shard_snapshots(backend), before)
+            return results, stats.delta_since(before)
 
         serial_results, serial_delta = drive(threaded=False)
         threaded_results, threaded_delta = drive(threaded=True)
@@ -121,52 +102,45 @@ class TestConcurrentReadAttribution:
             serial_results, threaded_results
         ):
             assert serial_result.ranking == threaded_result.ranking
-        # … and identical per-shard read-op billing, shard by shard
+        # … and identical read billing, op for op
         assert threaded_delta == serial_delta
-        read_ops = sum(
-            shard.get("out_neighbors", 0) for shard in threaded_delta
-        )
-        assert read_ops > 0
+        assert threaded_delta.get("out_neighbors", 0) > 0
 
     def test_kernel_batched_drain_bills_deterministically(self, workload):
         """A kernel-batched threaded drain is still reproducible: chunking
         is a pure function of the request list, node loads are per chunk,
-        and per-shard billing never depends on which worker ran a chunk —
-        two identical storms on identical stores bill identically (and
-        read strictly fewer adjacency rows than one-walk-per-request)."""
+        and billing never depends on which worker ran a chunk — two
+        identical storms on identical stores bill identically."""
         requests = [
             QueryRequest(seed=seed, k=5, length=400)
             for seed in zipf_seed_sequence(60, NODES, rng=3)
         ]
 
         def drive():
-            backend, engine = _sharded_setup(workload[: len(workload) // 2])
+            engine = _engine(workload[: len(workload) // 2])
+            stats = engine.social_store.stats
             service = QueryEngine(engine, rng_seed=9, share_fetches=False)
-            before = _shard_snapshots(backend)
+            before = stats.snapshot()
             with RequestBatcher(
                 service, max_workers=4, max_queue_depth=4096
             ) as batcher:
                 results = batcher.run(requests)
-            return results, _delta(_shard_snapshots(backend), before)
+            return results, stats.delta_since(before)
 
         first_results, first_delta = drive()
         second_results, second_delta = drive()
         for one, other in zip(first_results, second_results):
             assert one.ranking == other.ranking
         assert first_delta == second_delta
-        reads = sum(s.get("out_neighbors", 0) for s in first_delta)
-        assert reads > 0
+        assert first_delta.get("out_neighbors", 0) > 0
 
-    def test_apply_batch_interleaved_with_queries_attributes_writes(
-        self, workload
-    ):
+    def test_apply_batch_interleaved_with_queries_bills_writes(self, workload):
         half = len(workload) // 2
-        backend, engine = _sharded_setup(workload[:half])
+        engine = _engine(workload[:half])
+        stats = engine.social_store.stats
         service = QueryEngine(engine, rng_seed=9)
         slices = [workload[half : half + 60], workload[half + 60 : half + 120]]
-        before = _shard_snapshots(backend)
-        expected_out = Counter()
-        expected_in = Counter()
+        before = stats.snapshot()
         with RequestBatcher(
             service, max_workers=4, max_queue_depth=4096
         ) as batcher:
@@ -180,29 +154,16 @@ class TestConcurrentReadAttribution:
                     ]
                 )
                 engine.apply_batch(ingestion_slice)
-                for event in ingestion_slice:
-                    expected_out[backend.shard_of(event.source)] += 1
-                    expected_in[backend.shard_of(event.target)] += 1
-        delta = _delta(_shard_snapshots(backend), before)
-        for shard in range(NUM_SHARDS):
-            assert delta[shard].get("add_edge_out", 0) == expected_out[shard]
-            assert delta[shard].get("add_edge_in", 0) == expected_in[shard]
-        # reads happened on every shard that owns queried adjacency rows
-        assert sum(s.get("out_neighbors", 0) for s in delta) > 0
+        delta = stats.delta_since(before)
+        adds = sum(
+            event.kind == "add" for ingestion_slice in slices
+            for event in ingestion_slice
+        )
+        assert adds == 120
+        assert delta.get("add_edge", 0) == adds
+        assert delta.get("remove_edge", 0) == 0
+        assert delta.get("apply_batch", 0) == len(slices)
+        assert delta.get("out_neighbors", 0) > 0
         # the serving answers stayed consistent through the interleaving
         ranking = service.top_k(0, 5, length=300).ranking
         assert ranking == service.top_k(0, 5, length=300).ranking
-
-    def test_shard_load_accounting_still_consistent(self, workload):
-        backend, engine = _sharded_setup(workload)
-        service = QueryEngine(engine, rng_seed=4)
-        with RequestBatcher(service, max_workers=4) as batcher:
-            batcher.run(
-                [QueryRequest(seed=s, k=5, length=300) for s in range(32)]
-            )
-        loads = backend.shard_load()
-        assert len(loads) == NUM_SHARDS
-        assert sum(loads) == sum(
-            stats.total() for stats in backend.shard_stats
-        )
-        assert backend.load_imbalance() >= 1.0
